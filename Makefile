@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 PYTEST_ARGS ?=
 
-.PHONY: test lint bench sweep-bench fleet-bench fleet-demo ha-demo report-demo grey-demo
+.PHONY: test lint bench bench-compare sweep-bench fleet-bench fleet-demo ha-demo report-demo grey-demo
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q $(PYTEST_ARGS)
@@ -14,8 +14,17 @@ lint:
 		echo "ruff not installed; skipping lint (pip install ruff)"; \
 	fi
 
+# The repository benchmark (BENCHMARK.json): five workloads, end-to-end
+# and per-layer metrics, exits 1 on any failed operation.  Extra flags
+# via BENCH_ARGS, e.g. `make bench BENCH_ARGS="--out BENCH_0012.json"`.
+BENCH_ARGS ?=
+
 bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
+	$(PYTHON) bench/run.py $(BENCH_ARGS)
+
+# make bench-compare BASE=bench/baseline/BENCH_0011.json NEW=BENCH_0012.json
+bench-compare:
+	$(PYTHON) bench/compare.py $(BASE) $(NEW)
 
 sweep-bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/test_sweep_throughput.py -q -s

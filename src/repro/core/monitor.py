@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,29 +25,123 @@ from .prediction.base import LoadPredictor
 from .prediction.learning import LearningEvent
 
 
-@dataclass(frozen=True)
 class IterationVerdict:
-    """Outcome of monitoring one collective iteration."""
+    """Outcome of monitoring one collective iteration.
 
-    iteration: int
-    learning_event: LearningEvent
-    skipped: bool  # True while the learning predictor warms up / relearns
-    results: tuple[DetectionResult, ...] = ()
-    localizations: tuple[LocalizationResult, ...] = ()
+    A plain slotted class with the former frozen dataclass's
+    constructor, fields, equality, hash and repr, so the vectorized
+    block pass can hand an iteration over in columnar form and defer
+    the per-leaf :class:`DetectionResult` tuple until someone reads
+    ``results`` — the fleet's quiet majority never does.  ``_dense`` is
+    ``((leaves, ports, expected), observed, scores, scalar)``: the
+    plan's shared layout with its ``(m, p)`` expected matrix, this
+    iteration's ``(m, p)`` observed matrix, the worst |deviation| per
+    leaf, and the scalar-oracle results of alarm-bearing leaves by row.
+    Per-port deviations are recomputed on first read (the same float64
+    subtraction and division, so the same bits).  That state is also
+    what pickles: a verdict crosses a process boundary as float64
+    blocks, not per-port Python floats.
+    """
+
+    __slots__ = (
+        "iteration", "learning_event", "skipped", "localizations", "_results", "_dense",
+    )
+
+    def __init__(
+        self,
+        iteration: int,
+        learning_event: LearningEvent,
+        skipped: bool,  # True while the learning predictor warms up / relearns
+        results: tuple[DetectionResult, ...] = (),
+        localizations: tuple[LocalizationResult, ...] = (),
+        _dense: tuple | None = None,
+    ) -> None:
+        self.iteration = iteration
+        self.learning_event = learning_event
+        self.skipped = skipped
+        self.localizations = localizations
+        self._results = results if _dense is None else None
+        self._dense = _dense
+
+    @property
+    def results(self) -> tuple[DetectionResult, ...]:
+        results = self._results
+        if results is None:
+            (leaves, ports, expected), observed, scores, scalar = self._dense
+            iteration = self.iteration
+            deviations = ((observed - expected) / expected).tolist()
+            expected = expected.tolist()
+            observed = observed.tolist()
+            results = self._results = tuple(
+                scalar[j]
+                if j in scalar
+                else DetectionResult(
+                    leaf,
+                    iteration,
+                    alarms=(),
+                    max_abs=scores[j],
+                    _lazy=(leaf, ports, expected[j], observed[j], deviations[j]),
+                )
+                for j, leaf in enumerate(leaves)
+            )
+        return results
 
     @property
     def triggered(self) -> bool:
-        return any(r.triggered for r in self.results)
+        dense = self._dense
+        results = self._results if dense is None else dense[3].values()
+        return any(r.triggered for r in results)
 
     @property
     def max_score(self) -> float:
         """The iteration's classifier score: worst |deviation| anywhere."""
-        return max((r.max_abs_deviation for r in self.results), default=0.0)
+        if self._dense is not None:
+            return max(self._dense[2], default=0.0)
+        return max((r.max_abs_deviation for r in self._results), default=0.0)
 
     def suspected_links(self) -> frozenset[str]:
         return frozenset(
             link for loc in self.localizations for link in loc.suspected_links()
         )
+
+    def _fields(self) -> tuple:
+        return (
+            self.iteration, self.learning_event, self.skipped,
+            self.results, self.localizations,
+        )
+
+    def __reduce__(self):
+        results = self._results if self._dense is None else ()
+        return type(self), (
+            self.iteration, self.learning_event, self.skipped,
+            results, self.localizations, self._dense,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IterationVerdict):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"IterationVerdict(iteration={self.iteration!r}, "
+            f"learning_event={self.learning_event!r}, skipped={self.skipped!r}, "
+            f"results={self.results!r}, localizations={self.localizations!r})"
+        )
+
+
+class _DensePlan(NamedTuple):
+    """What the vectorized pass needs from one prediction, built once."""
+
+    prediction: object  # strong reference: its identity is the cache key
+    min_port_bytes: float
+    leaves: np.ndarray  # the segment leaf order the plan was built for
+    pattern: np.ndarray  # the sorted port pattern every leaf predicts
+    leaf_predictions: list  # per-row PortPrediction, for the scalar oracle
+    layout: tuple  # (leaves, ports, expected (m, p)): what verdicts carry
 
 
 @dataclass
@@ -86,6 +181,17 @@ class RunVerdict:
         return counts
 
 
+def _fits(plan: _DensePlan, segment: IterationSegment) -> bool:
+    """Whether ``segment`` has exactly the plan's leaf order and port
+    pattern (checked per call: segments are outside input)."""
+    pattern = segment.port_pattern()
+    return (
+        pattern is not None
+        and np.array_equal(pattern, plan.pattern)
+        and np.array_equal(segment.leaves, plan.leaves)
+    )
+
+
 class FlowPulseMonitor:
     """Fabric-wide FlowPulse instance for one monitored job."""
 
@@ -107,6 +213,7 @@ class FlowPulseMonitor:
         #: audit trail is observation-only: it reads finished verdicts,
         #: so enabling it cannot change any detection outcome.
         self.telemetry = telemetry
+        self._plan: _DensePlan | None = None
 
     # ------------------------------------------------------------------
     def process_iteration(
@@ -218,109 +325,94 @@ class FlowPulseMonitor:
     def _score_group(self, prediction, members, verdicts) -> None:
         """Score iterations that share one prediction object.
 
-        Falls back to the scalar oracle per iteration whenever the dense
-        preconditions fail; otherwise runs the vectorized pass.
+        Members that fit the prediction's dense plan are scored in one
+        vectorized pass and leave as columnar verdicts; any other member
+        (record list, irregular segment, leaf order or port pattern that
+        is not the plan's) goes through the scalar oracle.
         """
-        plan = self._dense_plan(prediction, members)
-        if plan is None:
-            for index, entry, segment, event in members:
+        plan = self._dense_plan(prediction, members[0][2])
+        dense = []
+        for member in members:
+            index, entry, segment, event = member
+            if plan is not None and segment is not None and _fits(plan, segment):
+                dense.append(member)
+            else:
                 records = entry if segment is None else segment.records()
                 verdicts[index] = self._score_iteration(records, event, prediction)
+        if not dense:
             return
-        leaves, states, pattern_width = plan
-        threshold = self.config.threshold
-        segments = [segment for _i, _e, segment, _ev in members]
-        observed = np.empty((len(segments), len(leaves), pattern_width))
-        for position, segment in enumerate(segments):
-            observed[position] = segment.port_value_matrix()
-        expected = np.array([state[2] for state in states])  # (m, p)
-        deviations = (observed - expected) / expected
-        magnitudes = np.abs(deviations)
+        layout = plan.layout
+        expected = layout[2]
+        observed = np.empty((len(dense),) + expected.shape)
+        for position, member in enumerate(dense):
+            observed[position] = member[2].port_value_matrix()
+        magnitudes = np.abs((observed - expected) / expected)
         worst = magnitudes.max(axis=2).tolist()
         # Inclusive boundary, as in the scalar detector.
-        triggered = (magnitudes >= threshold).any(axis=2)
-        for position, (index, _entry, segment, event) in enumerate(members):
-            iteration = segment.iteration
-            observed_rows = observed[position].tolist()
-            deviation_rows = deviations[position].tolist()
-            triggered_row = triggered[position]
-            results = []
+        alarming = (magnitudes >= self.config.threshold).any(axis=2)
+        alarmed = alarming.any(axis=1).tolist()
+        for position, (index, _entry, segment, event) in enumerate(dense):
+            scores = worst[position]
+            scalar = {}
             localizations = []
-            for j, leaf in enumerate(leaves):
-                leaf_prediction, ports, expected_floats = states[j]
-                if triggered_row[j]:
-                    # Alarm-bearing leaves go through the scalar oracle:
-                    # identical detection plus the localization pass.
+            if alarmed[position]:
+                # Alarm-bearing leaves go through the scalar oracle:
+                # identical detection plus the localization pass.
+                for j in np.flatnonzero(alarming[position]).tolist():
                     record = segment.record(j)
-                    result = self.detector.evaluate(record, leaf_prediction)
-                    results.append(result)
+                    leaf_prediction = plan.leaf_predictions[j]
+                    result = scalar[j] = self.detector.evaluate(record, leaf_prediction)
+                    scores[j] = result.max_abs_deviation
                     if result.triggered:
                         localizations.append(
                             self.localizer.localize(record, leaf_prediction, result)
                         )
-                else:
-                    results.append(
-                        DetectionResult(
-                            leaf,
-                            iteration,
-                            alarms=(),
-                            max_abs=worst[position][j],
-                            _lazy=(
-                                leaf,
-                                ports,
-                                expected_floats,
-                                observed_rows[j],
-                                deviation_rows[j],
-                            ),
-                        )
-                    )
             verdicts[index] = IterationVerdict(
-                iteration=iteration,
-                learning_event=event,
-                skipped=False,
-                results=tuple(results),
-                localizations=tuple(localizations),
+                segment.iteration, event, False, (), tuple(localizations),
+                _dense=(layout, observed[position], scores, scalar),
             )
 
-    def _dense_plan(self, prediction, members):
-        """``(leaves, per-leaf states, pattern width)`` when every member
-        segment satisfies the vectorized fast path, else ``None``.
+    def _dense_plan(self, prediction, segment) -> _DensePlan | None:
+        """The vectorized-scoring plan for ``prediction``, or ``None``.
 
-        Dense means: every member is a columnar segment, all share one
-        leaf order and one sorted port pattern, and every leaf's
-        prediction covers exactly that pattern with all expected volumes
-        at or above ``min_port_bytes`` (and positive, so the division is
-        the same operation the scalar fast path performs).
+        Cached per prediction object and ``min_port_bytes`` (a learned
+        predictor that rebaselines hands out a new prediction, hence a
+        new plan), built from the first columnar segment scored against
+        it.  A plan exists when that segment has one sorted port pattern
+        and every leaf's prediction covers exactly that pattern with all
+        expected volumes at or above ``min_port_bytes`` (and positive, so
+        the division is the same operation the scalar fast path
+        performs).
         """
-        first = members[0][2]
-        if first is None:
-            return None
-        pattern = first.port_pattern()
+        plan = self._plan
+        min_port_bytes = self.config.min_port_bytes
+        if (
+            plan is not None
+            and plan.prediction is prediction
+            and plan.min_port_bytes == min_port_bytes
+        ):
+            return plan
+        pattern = None if segment is None else segment.port_pattern()
         if pattern is None:
             return None
-        leaves_array = first.leaves
-        for _index, _entry, segment, _event in members[1:]:
-            if segment is None:
-                return None
-            if segment.port_pattern() is None:
-                return None
-            if not np.array_equal(segment.leaves, leaves_array):
-                return None
-            if not np.array_equal(segment.port_pattern(), pattern):
-                return None
-        pattern_list = pattern.tolist()
-        min_port_bytes = self.config.min_port_bytes
-        leaves = [int(leaf) for leaf in leaves_array]
-        states = []
+        ports = pattern.tolist()
+        leaves = tuple(segment.leaves.tolist())
+        leaf_predictions = []
+        expected = []
         for leaf in leaves:
             leaf_prediction = prediction.for_leaf(leaf)
-            ports, expected_floats, any_small = _prediction_state(
+            leaf_ports, expected_floats, any_small = _prediction_state(
                 leaf_prediction, min_port_bytes
             )
-            if any_small or ports != pattern_list or min(expected_floats) <= 0.0:
+            if any_small or leaf_ports != ports or min(expected_floats) <= 0.0:
                 return None
-            states.append((leaf_prediction, ports, expected_floats))
-        return leaves, states, len(pattern_list)
+            leaf_predictions.append(leaf_prediction)
+            expected.append(expected_floats)
+        layout = (leaves, ports, np.array(expected))
+        plan = self._plan = _DensePlan(
+            prediction, min_port_bytes, segment.leaves, pattern, leaf_predictions, layout
+        )
+        return plan
 
     # ------------------------------------------------------------------
     def _audit(self, verdict: IterationVerdict) -> None:

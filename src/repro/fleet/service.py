@@ -42,9 +42,12 @@ from .codec import FPREC_VERSIONS, JobConfig, RecordBatch, encode_batch, peek_ba
 from .shard import FleetError, ShardRouter, build_monitor, shard_worker
 from .transport import OutboxReader, new_outbox_pipe
 
-#: How long ``close`` waits for a single outbox message before declaring
-#: the drain wedged (a worker died without its "done").
+#: How long ``close`` waits for a single outbox message from live
+#: workers before declaring the drain wedged (a worker that *exited*
+#: without its "done" is caught at once, by EOF on its outbox).
 DRAIN_TIMEOUT_S = 120.0
+
+QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
 #: Submit drains the outbox every this many batches (amortizes the
 #: zero-timeout select() behind ``Queue.get_nowait``).
@@ -214,6 +217,7 @@ class FleetService:
         self._live_shards: set[int] = set()
         self._context = None
         self._outboxes: list = []
+        self._depth_gauges: list = []
         self._worker_snapshots: list = []
         self._done: set[int] = set()
         self._summaries = 0
@@ -253,6 +257,9 @@ class FleetService:
             self._submitted_batches_c = self.registry.counter("fleet.submitted_batches")
             self._shed_records_c = self.registry.counter("fleet.shed_records")
             self._shed_batches_c = self.registry.counter("fleet.shed_batches")
+            self._depth_samples = self.registry.histogram(
+                "fleet.queue_depth_samples", buckets=QUEUE_DEPTH_BUCKETS
+            )
             self._counters_ready = True
 
     def _spawn_worker(self, shard: int) -> None:
@@ -285,6 +292,10 @@ class FleetService:
         os.close(write_fd)
         self._inboxes.append(inbox)
         self._outboxes.append(OutboxReader(read_fd))
+        # Resolved once: ``_sample_depth`` runs on every submit.
+        self._depth_gauges.append(
+            self.registry.gauge("fleet.queue_depth", shard=str(shard))
+        )
         self._workers.append(worker)
         self._live_shards.add(shard)
 
@@ -475,11 +486,8 @@ class FleetService:
             depth = inbox.qsize()
         except NotImplementedError:  # pragma: no cover - macOS
             return
-        self.registry.gauge("fleet.queue_depth", shard=str(shard)).set(depth)
-        self.registry.histogram(
-            "fleet.queue_depth_samples",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096),
-        ).observe(depth)
+        self._depth_gauges[shard].set(depth)
+        self._depth_samples.observe(depth)
 
     # ------------------------------------------------------------------
     def poll(self) -> int:
@@ -549,15 +557,28 @@ class FleetService:
         while not expected <= self._done:
             if self.poll() > 0:
                 deadline = time.monotonic() + DRAIN_TIMEOUT_S
-            elif time.monotonic() > deadline:
-                dead = [w.name for w in self._workers if not w.is_alive()]
+                continue
+            # An outbox at EOF with nothing left to parse will never
+            # deliver its shard's "done": fail now, not at the deadline.
+            unfinished = sorted(expected - self._done)
+            exited = [
+                f"shard {shard} (torn_bytes={self._outboxes[shard].torn_bytes})"
+                for shard in unfinished
+                if self._outboxes[shard].eof
+            ]
+            if exited:
+                self._abort()
+                raise FleetError(
+                    "shard worker exited before finishing its drain: "
+                    + ", ".join(exited)
+                )
+            if time.monotonic() > deadline:
                 self._abort()
                 raise FleetError(
                     "fleet drain timed out waiting for shard workers "
-                    f"(dead: {dead or 'none'})"
-                ) from None
-            else:
-                time.sleep(0.002)
+                    f"(unfinished: {unfinished})"
+                )
+            time.sleep(0.002)
         self.poll()
         for shard in sorted(expected):
             self._workers[shard].join(timeout=DRAIN_TIMEOUT_S)
@@ -617,6 +638,7 @@ class FleetService:
                 reader.close()
         self._inboxes = []
         self._outboxes = []
+        self._depth_gauges = []
         self._workers = []
         self._live_shards = set()
         self._done = set()

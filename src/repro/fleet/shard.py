@@ -183,7 +183,8 @@ def shard_worker(
     is preserved (the golden-parity invariant); control messages act as
     barriers, flushing buffered batches before taking effect.
 
-    Outbox messages:
+    Outbox messages (the verdicts and summaries of one flush share one
+    frame; everything else is a frame of its own):
 
     - ``("verdict", shard, job_id, IterationVerdict)`` — full verdict
       (always when ``return_verdicts``, else only for triggered or
@@ -252,10 +253,12 @@ def shard_worker(
         Grouping only reorders *across* jobs; within a job the entries
         keep arrival order, so each monitor still sees its iterations
         in sequence.  One malformed unit costs one error, not the
-        whole flush.
+        whole flush.  The flush's verdicts and summaries leave as one
+        outbox frame.
         """
         if not pending:
             return
+        out: list = []
         groups: dict[int, list] = {}
         metas: dict[int, list[tuple[int, float, bool]]] = {}
         for kind, unit, _n_records, submitted_at in pending:
@@ -300,12 +303,13 @@ def shard_worker(
                     replayed_c.inc(n_records)
                 if verdict.skipped:
                     skipped_c.inc()
-                if verdict.triggered:
+                triggered = verdict.triggered
+                if triggered:
                     alarmed_c.inc()
-                if return_verdicts or verdict.triggered:
-                    outbox.send(("verdict", shard_id, job_id, verdict))
+                if return_verdicts or triggered:
+                    out.append(("verdict", shard_id, job_id, verdict))
                 else:
-                    outbox.send(
+                    out.append(
                         (
                             "summary",
                             shard_id,
@@ -315,6 +319,8 @@ def shard_worker(
                             verdict.max_score,
                         )
                     )
+        if out:
+            outbox.send_many(out)
 
     stopping = False
     while not stopping:

@@ -12,8 +12,11 @@ This module replaces the shared queue with one raw ``os.pipe`` per
 worker and moves the framing into userspace:
 
 - :class:`OutboxWriter` (worker side) sends length-prefixed pickle
-  frames with plain blocking ``os.write``.  A kill mid-write tears at
-  most this worker's own stream.
+  frames with plain blocking ``os.write``.  A frame carries a *list* of
+  messages — one per ``send``, a whole flush's worth per
+  ``send_many`` (one ``pickle.dumps`` whose memo shares what the
+  messages share, one write).  A kill mid-write tears at most this
+  worker's own stream, and of that at most the frame being written.
 - :class:`OutboxReader` (parent side) reads its pipe **non-blocking**
   and reassembles frames in a buffer.  ``drain()`` never blocks: a torn
   tail simply stays incomplete, and once the dead worker's write end
@@ -69,7 +72,12 @@ class OutboxWriter:
         self._lock = threading.Lock()
 
     def send(self, message) -> None:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        self.send_many([message])
+
+    def send_many(self, messages: list) -> None:
+        """One frame carrying ``messages``; the reader hands them back
+        one by one, in order."""
+        payload = pickle.dumps(messages, protocol=pickle.HIGHEST_PROTOCOL)
         frame = _HEADER.pack(len(payload)) + payload
         with self._lock:
             view = memoryview(frame)
@@ -123,16 +131,22 @@ class OutboxReader:
                 self._eof = True
                 break
             self._buffer += chunk
-        messages = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                break
-            (size,) = _HEADER.unpack_from(self._buffer)
-            end = _HEADER.size + size
-            if len(self._buffer) < end:
-                break
-            messages.append(pickle.loads(bytes(self._buffer[_HEADER.size : end])))
-            del self._buffer[:end]
+        messages: list = []
+        buffer = self._buffer
+        available = len(buffer)
+        cursor = 0
+        # Unpickle straight out of the buffer; the view must be released
+        # before the bytearray may shrink.
+        with memoryview(buffer) as view:
+            while available - cursor >= _HEADER.size:
+                (size,) = _HEADER.unpack_from(view, cursor)
+                end = cursor + _HEADER.size + size
+                if end > available:
+                    break
+                messages.extend(pickle.loads(view[cursor + _HEADER.size : end]))
+                cursor = end
+        if cursor:
+            del buffer[:cursor]
         return messages
 
     def close(self) -> None:

@@ -8,6 +8,8 @@ same iterations one at a time through ``process_iteration``.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.analysis.experiments import ExperimentConfig, build_trial, demand_for
 from repro.core.blocks import BlockError, IterationSegment, segments_from_run
 from repro.core.detection import DetectionConfig
 from repro.core.monitor import FlowPulseMonitor
+from repro.core.prediction.learning import LearningEvent
 from repro.fastsim.model import run_iterations
 from repro.simnet.counters import IterationRecord
 from repro.simnet.packet import FlowTag
@@ -43,10 +46,14 @@ def experiment(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-def run_records(config: ExperimentConfig, faulted=True, trial=0):
+def run_records(config: ExperimentConfig, faulted=True, trial=0, heals_at=None):
+    """``heals_at``: the fault is there from iteration 0 and gone from
+    that iteration on (pollutes a learned baseline, then heals)."""
     setup = build_trial(config, base_seed=3, trial=trial)
 
     def schedule(iteration):
+        if heals_at is not None:
+            return {setup.fault_link: config.drop_rate} if iteration < heals_at else {}
         if faulted and iteration >= config.fault_start_iteration:
             return {setup.fault_link: config.drop_rate}
         return {}
@@ -66,6 +73,30 @@ def fresh_monitor(config: ExperimentConfig, setup) -> FlowPulseMonitor:
     return FlowPulseMonitor(
         make_predictor(config, setup), DetectionConfig(threshold=config.threshold)
     )
+
+
+def columnar(iterations) -> list[IterationSegment]:
+    """Segments as they come off the wire: no cached record objects."""
+    segments = segments_from_run(iterations)
+    for segment in segments:
+        segment._records = None
+    return segments
+
+
+def assert_verdict_parity(got, reference):
+    """``got`` equals the oracle's verdicts in every form a verdict
+    takes: pickled while still columnar, read, and pickled again after
+    ``results`` was materialized — with equal hash and repr."""
+    shipped_unread = pickle.loads(pickle.dumps(got, protocol=pickle.HIGHEST_PROTOCOL))
+    assert [v.triggered for v in got] == [v.triggered for v in reference]
+    assert [v.max_score for v in got] == [v.max_score for v in reference]
+    assert shipped_unread == reference
+    assert got == reference  # bit-identical IterationVerdicts (reads results)
+    shipped_read = pickle.loads(pickle.dumps(got, protocol=pickle.HIGHEST_PROTOCOL))
+    assert shipped_read == reference
+    for form in (got, shipped_unread, shipped_read):
+        assert [hash(v) for v in form] == [hash(v) for v in reference]
+        assert [repr(v) for v in form] == [repr(v) for v in reference]
 
 
 # ----------------------------------------------------------------------
@@ -149,13 +180,12 @@ def test_process_block_parity_segments(predictor, chunk):
     assert any(v.triggered for v in reference)  # the fault is visible
 
     block_monitor = fresh_monitor(config, setup)
-    segments = segments_from_run(iterations)
-    for segment in segments:
-        segment._records = None  # force the columnar path end to end
+    segments = columnar(iterations)  # the columnar path end to end
     got = []
     for start in range(0, len(segments), chunk):
         got.extend(block_monitor.process_block(segments[start : start + chunk]))
-    assert got == reference  # bit-identical IterationVerdicts
+    assert any(v._dense is not None for v in got)  # the vectorized pass ran
+    assert_verdict_parity(got, reference)
 
 
 def test_process_block_parity_record_lists():
@@ -168,7 +198,8 @@ def test_process_block_parity_record_lists():
 
     block_monitor = fresh_monitor(config, setup)
     got = block_monitor.process_block([list(r) for r in iterations])
-    assert got == reference
+    assert all(v._dense is None for v in got)
+    assert_verdict_parity(got, reference)
 
 
 def test_process_block_parity_mixed_entries():
@@ -182,7 +213,7 @@ def test_process_block_parity_mixed_entries():
         IterationSegment.from_records(list(r)) if index % 2 == 0 else list(r)
         for index, r in enumerate(iterations)
     ]
-    assert block_monitor.process_block(entries) == reference
+    assert_verdict_parity(block_monitor.process_block(entries), reference)
 
 
 def test_process_block_empty():
@@ -201,13 +232,86 @@ def test_process_block_healthy_quiet_path_is_dense():
     assert not any(v.triggered for v in reference)
 
     block_monitor = fresh_monitor(config, setup)
-    segments = segments_from_run(iterations)
-    for segment in segments:
-        segment._records = None
-    got = block_monitor.process_block(segments)
+    got = block_monitor.process_block(columnar(iterations))
     assert got == reference
     # lazy details (ports/deviations) must match too, not just scores
     for ours, ref in zip(got, reference):
         for a, b in zip(ours.results, ref.results):
             assert a.leaf == b.leaf
             assert a.deviations == b.deviations
+
+
+# ----------------------------------------------------------------------
+# The cached dense plan
+# ----------------------------------------------------------------------
+def test_monitors_sharing_a_prediction_do_not_share_a_plan():
+    """One prediction object, three detector tunings: each monitor's
+    block verdicts match its *own* sequential oracle."""
+    config = experiment()
+    setup, iterations = run_records(config)
+    predictor = make_predictor(config, setup)
+    tunings = [
+        DetectionConfig(threshold=config.threshold),
+        DetectionConfig(threshold=1e-9),  # everything alarms
+        DetectionConfig(threshold=config.threshold, min_port_bytes=1e30),  # no port counts
+    ]
+    monitors = []
+    for tuning in tunings:
+        oracle = FlowPulseMonitor(predictor, tuning)
+        reference = [oracle.process_iteration(list(r)) for r in iterations]
+        monitor = FlowPulseMonitor(predictor, tuning)
+        assert_verdict_parity(monitor.process_block(columnar(iterations)), reference)
+        monitors.append(monitor)
+    plain, eager, blind = monitors
+    assert plain._plan.prediction is eager._plan.prediction  # shared prediction,
+    assert plain._plan is not eager._plan  # plans of their own
+    assert blind._plan is None  # sub-min_port_bytes ports: scalar oracle only
+
+
+def test_rebaseline_inside_one_block_never_scores_against_a_stale_plan():
+    """A fault that pollutes the learned baseline and then heals makes
+    the predictor swap its prediction mid-block; iterations on either
+    side are scored against the baseline that was live for them."""
+    config = experiment(predictor="learned", n_iterations=12)
+    setup, iterations = run_records(config, heals_at=5)
+    oracle = fresh_monitor(config, setup)
+    reference = [oracle.process_iteration(list(r)) for r in iterations]
+    events = [v.learning_event for v in reference]
+    rebaselined = events.index(LearningEvent.REBASELINED)
+    scored = [i for i, v in enumerate(reference) if not v.skipped]
+    assert min(scored) < rebaselined < max(scored)  # both baselines were used
+
+    monitor = fresh_monitor(config, setup)
+    got = monitor.process_block(columnar(iterations))
+    assert monitor._plan.prediction is monitor.predictor.predict()
+    assert_verdict_parity(got, reference)
+    # and the next block starts from the plan of the live baseline
+    _setup, more = run_records(config, faulted=False, trial=1)
+    assert_verdict_parity(
+        monitor.process_block(columnar(more)),
+        [oracle.process_iteration(list(r)) for r in more],
+    )
+
+
+@pytest.mark.parametrize("change", ["leaf-order", "port-pattern"])
+def test_segment_unlike_the_cached_plan_takes_the_scalar_oracle(change):
+    config = experiment()
+    setup, iterations = run_records(config, faulted=False)
+    oracle = fresh_monitor(config, setup)
+    monitor = fresh_monitor(config, setup)
+    first, second, third = (list(r) for r in iterations[:3])
+    if change == "leaf-order":
+        second.reverse()
+    else:  # the same extra port on every leaf: uniform, but not the plan's
+        second = [
+            IterationRecord(
+                leaf=r.leaf, tag=r.tag, port_bytes={**r.port_bytes, 99: 5},
+                sender_bytes=r.sender_bytes, start_ns=r.start_ns, end_ns=r.end_ns,
+            )
+            for r in second
+        ]
+    block = [first, second, third]
+    reference = [oracle._score_iteration(r, LearningEvent.NONE, oracle.predictor.predict()) for r in block]
+    got = monitor.process_block(columnar(block))
+    assert [v._dense is not None for v in got] == [True, False, True]
+    assert_verdict_parity(got, reference)

@@ -3,6 +3,8 @@ pipeline under randomized fabrics, demands, and faults."""
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,11 @@ from repro.core import (
     FlowPulseMonitor,
     SimulationPredictor,
 )
+from repro.core.blocks import segments_from_run
+from repro.core.prediction.base import LoadPrediction, LoadPredictor, PortPrediction
 from repro.fastsim import FabricModel, expected_iteration, run_iterations
+from repro.simnet.counters import IterationRecord
+from repro.simnet.packet import FlowTag
 from repro.topology import ClosSpec, down_link, up_link
 from repro.units import MIB
 
@@ -202,3 +208,90 @@ def test_property_remediation_needs_enough_evidence(implications, confirm_after)
         for cable in action.cables:
             total = sum(1 for past in all_implications if cable in past)
             assert total >= confirm_after
+
+
+class _FixedPredictor(LoadPredictor):
+    """A stateless predictor handing out one hand-built prediction."""
+
+    def __init__(self, prediction: LoadPrediction) -> None:
+        self._prediction = prediction
+
+    def predict(self) -> LoadPrediction:
+        return self._prediction
+
+
+#: Powers of two (and 0.5, under ``min_port_bytes``; and 0, idle), so
+#: every ``expected * (1 + step)`` below is exact in float64.
+_EXPECTED = (0, 0.5, 64, 1024.0, 4096, 65536.0)
+#: Relative steps around a 0.25 threshold: under, exactly on (the
+#: boundary is inclusive), over — as surplus and as deficit.
+_STEPS = (-0.5, -0.25, -0.125, 0.0, 0.125, 0.25, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n_leaves=st.integers(1, 4),
+    n_ports=st.integers(1, 4),
+    n_iterations=st.integers(1, 4),
+)
+def test_property_block_verdicts_equal_the_scalar_oracle(
+    data, n_leaves, n_ports, n_iterations
+):
+    """For any mix of int and float counters, deviations under, on and
+    over the threshold, and ports predicted under ``min_port_bytes``,
+    ``process_block`` over columnar segments equals sequential
+    ``process_iteration`` — also after a pickle round trip — and takes
+    the vectorized pass exactly when every predicted port counts."""
+    # Half the examples keep every port countable (the vectorized pass).
+    pool = _EXPECTED if data.draw(st.booleans()) else _EXPECTED[2:]
+    expected = [
+        [data.draw(st.sampled_from(pool)) for _ in range(n_ports)]
+        for _ in range(n_leaves)
+    ]
+    prediction = LoadPrediction(
+        per_leaf=tuple(
+            PortPrediction(
+                leaf=leaf,
+                port_bytes=dict(enumerate(expected[leaf])),
+                sender_bytes={(port, 0): expected[leaf][port] for port in range(n_ports)},
+            )
+            for leaf in range(n_leaves)
+        )
+    )
+    run = []
+    for iteration in range(n_iterations):
+        records = []
+        for leaf in range(n_leaves):
+            port_bytes = {}
+            for port in range(n_ports):
+                value = expected[leaf][port] * (1 + data.draw(st.sampled_from(_STEPS)))
+                if value == int(value) and data.draw(st.booleans()):
+                    value = int(value)
+                port_bytes[port] = value
+            records.append(
+                IterationRecord(
+                    leaf=leaf,
+                    tag=FlowTag(job_id=1, iteration=iteration),
+                    port_bytes=port_bytes,
+                    sender_bytes={(port, 0): size for port, size in port_bytes.items()},
+                    start_ns=0,
+                    end_ns=1,
+                )
+            )
+        run.append(records)
+    tuning = DetectionConfig(threshold=0.25, min_port_bytes=1.0)
+    oracle = FlowPulseMonitor(_FixedPredictor(prediction), tuning)
+    reference = [oracle.process_iteration(records) for records in run]
+
+    segments = segments_from_run(run)
+    for segment in segments:
+        segment._records = None  # as decoded off the wire
+    got = FlowPulseMonitor(_FixedPredictor(prediction), tuning).process_block(segments)
+    every_port_counts = all(e >= 1.0 for row in expected for e in row)
+    assert all((v._dense is not None) == every_port_counts for v in got)
+    assert [v.triggered for v in got] == [v.triggered for v in reference]
+    assert [v.max_score for v in got] == [v.max_score for v in reference]
+    assert pickle.loads(pickle.dumps(got)) == reference
+    assert got == reference
+    assert pickle.loads(pickle.dumps(got)) == reference
