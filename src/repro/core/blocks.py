@@ -74,11 +74,14 @@ def _pack_values(values: list) -> tuple[np.ndarray, np.ndarray]:
     return raw, flags
 
 
-def _unpack_value(raw: np.ndarray, float_view: np.ndarray, flags: np.ndarray, index: int):
-    """One value back out of the raw/flag columns, original type intact."""
-    if flags[index] == VALUE_FLOAT:
-        return float(float_view[index])
-    return int(raw[index])
+def _unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
+    """The raw/flag columns back as Python values, original types intact."""
+    values = raw.tolist()
+    if flags.any():
+        floats = raw.view(FLOAT_DTYPE).tolist()
+        for index in np.flatnonzero(flags).tolist():
+            values[index] = floats[index]
+    return values
 
 
 @dataclass
@@ -190,37 +193,52 @@ class IterationSegment:
         """Materialize one record (dict-backed, exact value types)."""
         if self._records is not None:
             return self._records[index]
-        tag = self.tag
-        p0, p1 = int(self.port_offsets[index]), int(self.port_offsets[index + 1])
-        s0, s1 = int(self.sender_offsets[index]), int(self.sender_offsets[index + 1])
-        port_float = self.port_raw.view(FLOAT_DTYPE)
-        sender_float = self.sender_raw.view(FLOAT_DTYPE)
-        port_bytes = {
-            int(self.port_keys[k]): _unpack_value(
-                self.port_raw, port_float, self.port_flags, k
-            )
-            for k in range(p0, p1)
-        }
-        sender_bytes = {
-            (int(self.sender_spines[k]), int(self.sender_srcs[k])): _unpack_value(
-                self.sender_raw, sender_float, self.sender_flags, k
-            )
-            for k in range(s0, s1)
-        }
-        return IterationRecord(
-            leaf=int(self.leaves[index]),
-            tag=tag,
-            port_bytes=port_bytes,
-            sender_bytes=sender_bytes,
-            start_ns=int(self.start_ns[index]),
-            end_ns=int(self.end_ns[index]),
-        )
+        return self._materialize(index, index + 1)[0]
 
     def records(self) -> list[IterationRecord]:
         """Materialize every record (cached; preserves record order)."""
         if self._records is None:
-            self._records = [self.record(j) for j in range(self.n_records)]
+            self._records = self._materialize(0, self.n_records)
         return self._records
+
+    def _materialize(self, lo: int, hi: int) -> list[IterationRecord]:
+        """Records ``lo..hi``, read off ``tolist()``-ed column slices (one
+        numpy call per column, not one scalar index per key and value)."""
+        tag = self.tag
+        p = self.port_offsets[lo : hi + 1]
+        s = self.sender_offsets[lo : hi + 1]
+        ports, senders = slice(p[0], p[-1]), slice(s[0], s[-1])
+        p, s = (p - p[0]).tolist(), (s - s[0]).tolist()
+        port_keys = self.port_keys[ports].tolist()
+        port_values = _unpack_values(self.port_raw[ports], self.port_flags[ports])
+        sender_keys = list(
+            zip(self.sender_spines[senders].tolist(), self.sender_srcs[senders].tolist())
+        )
+        sender_values = _unpack_values(
+            self.sender_raw[senders], self.sender_flags[senders]
+        )
+        records = []
+        for j, (leaf, start_ns, end_ns) in enumerate(
+            zip(
+                self.leaves[lo:hi].tolist(),
+                self.start_ns[lo:hi].tolist(),
+                self.end_ns[lo:hi].tolist(),
+            )
+        ):
+            port_rows, sender_rows = slice(p[j], p[j + 1]), slice(s[j], s[j + 1])
+            records.append(
+                IterationRecord(
+                    leaf=leaf,
+                    tag=tag,
+                    port_bytes=dict(zip(port_keys[port_rows], port_values[port_rows])),
+                    sender_bytes=dict(
+                        zip(sender_keys[sender_rows], sender_values[sender_rows])
+                    ),
+                    start_ns=start_ns,
+                    end_ns=end_ns,
+                )
+            )
+        return records
 
     # ------------------------------------------------------------------
     def port_pattern(self) -> np.ndarray | None:

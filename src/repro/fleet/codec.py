@@ -31,11 +31,14 @@ payload.  Batch payloads are the columns of a
 CSR-style port/sender key and value columns — so a shard worker decodes
 a frame with a handful of ``np.frombuffer`` calls and scores whole
 blocks of iterations in one vectorized pass without ever building a
-per-record dict.  Job frames carry the same JSON document as v1 inside
-a binary frame: they are control-plane, one per job, and gain nothing
-from struct packing.  The header's first byte (``0xF7``) is not valid
-UTF-8 and can never open a JSON line, so v1 lines and v2 frames mix
-freely in one ``.fprec`` stream.
+per-record dict.  A v1 batch line is a text encoding of the same
+columns, and :func:`decode_batch_segment` reads it as such: both
+versions reach the monitor as segments, and :func:`decode_batch`'s
+records are the export/debug view.  Job frames carry the same JSON
+document as v1 inside a binary frame: they are control-plane, one per
+job, and gain nothing from struct packing.  The header's first byte
+(``0xF7``) is not valid UTF-8 and can never open a JSON line, so v1
+lines and v2 frames mix freely in one ``.fprec`` stream.
 
 A ``.fprec`` file is just these units concatenated (jobs conventionally
 first), which makes the wire format double as a record/replay format:
@@ -62,6 +65,7 @@ import pathlib
 import struct
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -213,6 +217,15 @@ def _int_key(value, where: str) -> int:
     return value
 
 
+def _counter(value, where: str):
+    """A decoded counter is exactly ``int`` or a finite ``float``:
+    ``null``, strings, booleans and nested arrays would otherwise reach
+    the detector's arithmetic and fail (or silently score) there."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise CodecError(f"expected a finite number in {where}, got {value!r}")
+
+
 def _require_version(version: int) -> None:
     """Writer-side negotiation: only encode versions we can decode."""
     if version not in FPREC_VERSIONS:
@@ -251,14 +264,14 @@ def _decode_record(entry, tag: FlowTag) -> IterationRecord:
     try:
         leaf, start_ns, end_ns, port_pairs, sender_triples = entry
         port_bytes = {
-            _int_key(spine, "port_bytes key"): _check_finite(size, "port_bytes")
+            _int_key(spine, "port_bytes key"): _counter(size, "port_bytes")
             for spine, size in port_pairs
         }
         sender_bytes = {
             (
                 _int_key(spine, "sender_bytes key"),
                 _int_key(src, "sender_bytes key"),
-            ): _check_finite(size, "sender_bytes")
+            ): _counter(size, "sender_bytes")
             for spine, src, size in sender_triples
         }
     except CodecError:
@@ -561,15 +574,10 @@ def _job_from_dict(data) -> JobConfig:
         raise CodecError(f"malformed job config: {exc}") from exc
 
 
-def decode_batch(data: str | bytes) -> RecordBatch:
-    """Parse one batch unit (either version) back into an exact
-    :class:`RecordBatch`."""
-    if isinstance(data, (bytes, bytearray)):
-        kind, payload = _split_frame(bytes(data))
-        if kind != _KIND_BATCH:
-            raise CodecError("expected a batch frame, got a job frame")
-        return _segment_to_batch(_decode_segment_payload(payload))
-    kind, payload = _parse_line(data)
+def _batch_line(line: str) -> tuple[FlowTag, list]:
+    """Validate a v1 batch line's envelope; return its tag and the raw
+    per-leaf entries."""
+    kind, payload = _parse_line(line)
     if kind != "b":
         raise CodecError(f"expected a batch line, got kind {kind!r}")
     try:
@@ -587,33 +595,109 @@ def decode_batch(data: str | bytes) -> RecordBatch:
         raise CodecError(
             f"batch declares {n_records} records but carries {len(entries)}"
         )
-    records = tuple(_decode_record(entry, tag) for entry in entries)
+    return tag, entries
+
+
+def _int_table(rows: list, width: int) -> np.ndarray:
+    """JSON rows of exactly ``width`` exact ints as ``width`` int64
+    columns; ``ValueError`` for anything else (a string or object posing
+    as a row yields ``str`` elements; ``bool`` is not ``int``)."""
+    flat = list(chain.from_iterable(rows))
+    if not (set(map(len, rows)) <= {width} and set(map(type, flat)) <= {int}):
+        raise ValueError(f"not rows of {width} integers")
+    table = np.array(flat, dtype=KEY_DTYPE).reshape(len(rows), width)
+    return np.ascontiguousarray(table.T)
+
+
+def _keys_ascend(offsets: list, *keys: np.ndarray) -> bool:
+    """Whether each record's keys strictly increase, in lexicographic
+    order over ``keys`` — what our encoder writes and
+    :meth:`IterationSegment.from_records` produces."""
+    columns = (np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), *keys)
+    rising = False
+    for column in reversed(columns):
+        rising = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & rising)
+    return bool(np.all(rising))
+
+
+def _columns_from_entries(tag: FlowTag, entries: list) -> IterationSegment | None:
+    """A v1 batch's parsed entries as columns, with every check
+    :func:`_decode_record` makes per value made per column and no
+    record, dict or tag built per leaf — or ``None`` unless arities are
+    5/2/3, every id, timestamp, key and counter is an exact ``int`` in
+    the 64-bit range and each record's keys ascend.  The record route
+    then decides: a typed error, float counters packed one by one, a
+    foreign writer's unsorted or repeated keys settled by dicts."""
+    heads, pairs, triples = [], [], []
+    port_offsets, sender_offsets = [0], [0]
+    try:
+        for leaf, start_ns, end_ns, port_pairs, sender_triples in entries:
+            heads.append((leaf, start_ns, end_ns))
+            pairs += port_pairs
+            port_offsets.append(len(pairs))
+            triples += sender_triples
+            sender_offsets.append(len(triples))
+        leaves, start_ns, end_ns = _int_table(heads, 3)
+        port_keys, port_raw = _int_table(pairs, 2)
+        sender_spines, sender_srcs, sender_raw = _int_table(triples, 3)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not (
+        _keys_ascend(port_offsets, port_keys)
+        and _keys_ascend(sender_offsets, sender_spines, sender_srcs)
+    ):
+        return None
+    return IterationSegment(
+        tag.job_id, tag.iteration, tag.collective,
+        leaves, start_ns, end_ns,
+        np.array(port_offsets, dtype=KEY_DTYPE), port_keys, port_raw,
+        np.zeros(len(pairs), dtype=FLAG_DTYPE),
+        np.array(sender_offsets, dtype=KEY_DTYPE), sender_spines, sender_srcs,
+        sender_raw, np.zeros(len(triples), dtype=FLAG_DTYPE),
+    )
+
+
+def decode_batch(data: str | bytes) -> RecordBatch:
+    """Parse one batch unit (either version) back into an exact
+    :class:`RecordBatch` — the export/debug view of a unit, and the
+    reference the columnar decode is tested against."""
+    if isinstance(data, (bytes, bytearray)):
+        return _segment_to_batch(decode_batch_segment(data))
+    tag, entries = _batch_line(data)
     return RecordBatch(
         job_id=tag.job_id,
         iteration=tag.iteration,
-        collective=collective,
-        records=records,
+        collective=tag.collective,
+        records=tuple(_decode_record(entry, tag) for entry in entries),
     )
 
 
 def decode_batch_segment(data: str | bytes) -> IterationSegment:
     """Decode a batch unit straight into its columnar
-    :class:`~repro.core.blocks.IterationSegment`.
+    :class:`~repro.core.blocks.IterationSegment` — the only shape a
+    shard worker hands a monitor.
 
-    For v2 frames this is the shard-worker hot path: the columns come
-    off the wire with a handful of buffer views and no per-record dict
-    is ever built.  v1 lines are decoded normally and columnarized.
+    A v1 line is a text encoding of the same columns a v2 frame carries
+    as bytes: the frame's come off the wire with a handful of buffer
+    views, the line's out of ``json.loads`` a column at a time, and
+    neither builds a record or a dict (a line that is not plainly
+    all-int and key-sorted goes through :func:`_decode_record` first).
     """
     if isinstance(data, (bytes, bytearray)):
         kind, payload = _split_frame(bytes(data))
         if kind != _KIND_BATCH:
             raise CodecError("expected a batch frame, got a job frame")
         return _decode_segment_payload(payload)
-    batch = decode_batch(data)
-    try:
-        return IterationSegment.from_records(list(batch.records))
-    except BlockError as exc:  # pragma: no cover - decode already validated
-        raise CodecError(str(exc)) from exc
+    tag, entries = _batch_line(data)
+    segment = _columns_from_entries(tag, entries) if entries else None
+    if segment is None:
+        try:
+            segment = IterationSegment.from_records(
+                [_decode_record(entry, tag) for entry in entries]
+            )
+        except BlockError as exc:
+            raise CodecError(str(exc)) from exc
+    return segment
 
 
 def decode_job(data: str | bytes) -> JobConfig:
@@ -657,46 +741,8 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
     """``(job_id, n_records, iteration)`` of a batch unit without a
     full parse.
 
-    Same fast paths as :func:`peek_batch`, one field wider: the HA
-    service keys its in-flight record accounting by ``(job_id,
-    iteration)``, so the iteration must also be readable at routing
-    cost, not decode cost.
-    """
-    if isinstance(data, (bytes, bytearray)):
-        data = bytes(data)
-        if (
-            len(data) >= _HEADER.size + _BATCH_FIXED.size
-            and data[:4] == BINARY_MAGIC
-            and data[4] == FPREC_VERSION_BINARY
-            and data[5] == _KIND_BATCH
-            and len(data) == _HEADER.size + int.from_bytes(data[8:12], "little")
-        ):
-            job_id = int.from_bytes(data[12:20], "little")
-            iteration = int.from_bytes(data[20:28], "little")
-            n_records = int.from_bytes(data[28:32], "little")
-            return job_id, n_records, iteration
-        batch = decode_batch(data)
-        return batch.job_id, batch.n_records, batch.iteration
-    parts = data.split(",", 6)
-    if (
-        len(parts) == 7
-        and parts[0] == f'["{FPREC_MAGIC}"'
-        and parts[1] == str(FPREC_VERSION)
-        and parts[2] == '"b"'
-    ):
-        try:
-            return int(parts[3]), int(parts[4]), int(parts[5])
-        except ValueError:
-            pass
-    batch = decode_batch(data)
-    return batch.job_id, batch.n_records, batch.iteration
-
-
-def peek_batch(data: str | bytes) -> tuple[int, int]:
-    """``(job_id, n_records)`` of a batch unit without a full parse.
-
     The routing fields sit at fixed positions in both versions: a v1
-    line yields them after four comma splits, a v2 frame after two
+    line yields them after six comma splits, a v2 frame after three
     fixed-offset reads — this is what keeps the ingest frontend's
     per-unit cost independent of batch size.  The fast paths validate
     the magic and version at their fixed positions too, so a
@@ -715,23 +761,30 @@ def peek_batch(data: str | bytes) -> tuple[int, int]:
             and len(data) == _HEADER.size + int.from_bytes(data[8:12], "little")
         ):
             job_id = int.from_bytes(data[12:20], "little")
+            iteration = int.from_bytes(data[20:28], "little")
             n_records = int.from_bytes(data[28:32], "little")
-            return job_id, n_records
-        batch = decode_batch(data)  # raises a typed error or handles edge forms
-        return batch.job_id, batch.n_records
-    parts = data.split(",", 5)
-    if (
-        len(parts) == 6
-        and parts[0] == f'["{FPREC_MAGIC}"'
-        and parts[1] == str(FPREC_VERSION)
-        and parts[2] == '"b"'
-    ):
-        try:
-            return int(parts[3]), int(parts[4])
-        except ValueError:
-            pass
+            return job_id, n_records, iteration
+    else:
+        parts = data.split(",", 6)
+        if (
+            len(parts) == 7
+            and parts[0] == f'["{FPREC_MAGIC}"'
+            and parts[1] == str(FPREC_VERSION)
+            and parts[2] == '"b"'
+        ):
+            try:
+                return int(parts[3]), int(parts[4]), int(parts[5])
+            except ValueError:
+                pass
     batch = decode_batch(data)  # raises a typed error or handles edge forms
-    return batch.job_id, batch.n_records
+    return batch.job_id, batch.n_records, batch.iteration
+
+
+def peek_batch(data: str | bytes) -> tuple[int, int]:
+    """``(job_id, n_records)`` of a batch unit at routing cost (see
+    :func:`peek_batch_tag`; the HA service also keys its in-flight
+    ledger by the iteration, the plain service does not need it)."""
+    return peek_batch_tag(data)[:2]
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,10 @@ hashing (:class:`ShardRouter`), and each shard's bounded FIFO inbox
 preserves per-job order end to end.
 
 The worker (:func:`shard_worker`) owns the monitors of the jobs routed
-to it: it decodes incoming wire units (v1 JSON lines or v2 binary
-frames), coalesces queued batches, scores them per job through
+to it: it decodes incoming wire units — v1 JSON lines are a text
+encoding of the columns v2 frames carry as bytes, so both reach the
+monitor as columnar :class:`~repro.core.blocks.IterationSegment` —
+coalesces queued batches, scores them per job through
 :meth:`~repro.core.monitor.FlowPulseMonitor.process_block`, and
 ships verdicts back on its private framed outbox pipe.  Everything it touches is
 deterministic given the job configs and record stream, which is what
@@ -36,7 +38,7 @@ from ..analysis.experiments import build_trial, make_predictor
 from ..core.detection import DetectionConfig
 from ..core.monitor import FlowPulseMonitor
 from ..telemetry.registry import MetricsRegistry
-from .codec import CodecError, JobConfig, decode_batch, decode_batch_segment
+from .codec import CodecError, JobConfig, decode_batch_segment
 
 
 class FleetError(RuntimeError):
@@ -177,9 +179,10 @@ def shard_worker(
 
     Each wake-up drains up to ``coalesce`` queued messages and scores
     the drained batches job by job through
-    :meth:`~repro.core.monitor.FlowPulseMonitor.process_block` — v2
-    frames arrive as columnar segments and whole runs of quiet
-    iterations are scored in one vectorized pass.  Per-job batch order
+    :meth:`~repro.core.monitor.FlowPulseMonitor.process_block` — units
+    of either wire version decode to columnar segments, whole runs of
+    iterations are scored in one vectorized pass and only alarm-bearing
+    leaves reach the scalar oracle.  Per-job batch order
     is preserved (the golden-parity invariant); control messages act as
     barriers, flushing buffered batches before taking effect.
 
@@ -259,48 +262,36 @@ def shard_worker(
         if not pending:
             return
         out: list = []
-        groups: dict[int, list] = {}
-        metas: dict[int, list[tuple[int, float, bool]]] = {}
+        groups: dict[int, list] = {}  # job -> [(segment, submitted_at, replayed)]
         for kind, unit, _n_records, submitted_at in pending:
             try:
-                if isinstance(unit, (bytes, bytearray)):
-                    # v2 hot path: straight to the columnar segment,
-                    # no per-record materialization.
-                    entry = decode_batch_segment(unit)
-                    job_id, n_records = entry.job_id, entry.n_records
-                else:
-                    batch = decode_batch(unit)
-                    entry = list(batch.records)
-                    job_id, n_records = batch.job_id, batch.n_records
+                segment = decode_batch_segment(unit)
             except (CodecError, RuntimeError, ValueError) as exc:
                 report_error(exc)
                 continue
-            groups.setdefault(job_id, []).append(entry)
-            metas.setdefault(job_id, []).append(
-                (n_records, submitted_at, kind == "replay")
+            groups.setdefault(segment.job_id, []).append(
+                (segment, submitted_at, kind == "replay")
             )
-        for job_id, entries in groups.items():
+        for job_id, members in groups.items():
             monitor = monitors.get(job_id)
             if monitor is None:
-                unknown_c.inc(len(entries))
+                unknown_c.inc(len(members))
                 continue
             started = time.perf_counter()
             try:
-                verdicts = monitor.process_block(entries)
+                verdicts = monitor.process_block([member[0] for member in members])
             except (FleetError, RuntimeError, ValueError) as exc:
                 report_error(exc)
                 continue
-            per_batch_s = (time.perf_counter() - started) / len(entries)
+            per_batch_s = (time.perf_counter() - started) / len(members)
             now = time.time()
-            for verdict, (n_records, submitted_at, replayed) in zip(
-                verdicts, metas[job_id]
-            ):
+            for verdict, (segment, submitted_at, replayed) in zip(verdicts, members):
                 detect_h.observe(per_batch_s)
                 latency_h.observe(max(0.0, now - submitted_at))
                 batches_c.inc()
-                records_c.inc(n_records)
+                records_c.inc(segment.n_records)
                 if replayed:
-                    replayed_c.inc(n_records)
+                    replayed_c.inc(segment.n_records)
                 if verdict.skipped:
                     skipped_c.inc()
                 triggered = verdict.triggered

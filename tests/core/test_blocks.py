@@ -123,6 +123,27 @@ def test_segment_lazy_record_materialization():
     assert type(rebuilt.port_bytes[1]) is float
 
 
+def test_record_reads_the_same_slices_records_does():
+    """One leaf or all of them come off the same column slices: irregular
+    port sets, an empty port table, an empty sender table, mixed types."""
+    records = [
+        make_record(leaf=4, port_bytes={0: 1, 2: 2.5, 5: -3}, sender_bytes={}),
+        make_record(leaf=1, port_bytes={}, sender_bytes={(0, 1): 0.5, (0, 2): 2**63 - 1}),
+        make_record(leaf=9, port_bytes={7: -(2**63)}, sender_bytes={(3, 3): 0}),
+    ]
+    segment = IterationSegment.from_records(records)
+    segment._records = None
+    one_by_one = [segment.record(j) for j in range(3)]
+    assert one_by_one == records == segment.records()
+    for rebuilt, record in zip(one_by_one, records):
+        for got, want in (
+            (rebuilt.port_bytes, record.port_bytes),
+            (rebuilt.sender_bytes, record.sender_bytes),
+        ):
+            assert list(got) == sorted(want)
+            assert [type(got[key]) for key in got] == [type(want[key]) for key in got]
+
+
 def test_segment_rejects_empty_and_mixed_tags():
     with pytest.raises(BlockError, match="empty"):
         IterationSegment.from_records([])

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentConfig
+from repro.core.blocks import IterationSegment
 from repro.fleet import (
     CodecError,
     JobConfig,
     RecordBatch,
     UnsupportedVersionError,
     decode_batch,
+    decode_batch_segment,
     decode_job,
     decode_line,
     encode_batch,
@@ -47,6 +49,50 @@ def make_batch(n_leaves=3, **kwargs):
     return RecordBatch.from_records(
         [make_record(leaf=leaf, **kwargs) for leaf in range(n_leaves)]
     )
+
+
+SEGMENT_COLUMNS = (
+    "leaves", "start_ns", "end_ns",
+    "port_offsets", "port_keys", "port_raw", "port_flags",
+    "sender_offsets", "sender_spines", "sender_srcs", "sender_raw", "sender_flags",
+)
+
+
+def assert_same_segment(got: IterationSegment, want: IterationSegment):
+    """Column for column: dtype, shape and bytes."""
+    assert got.tag == want.tag
+    for name in SEGMENT_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def value_types(records):
+    return [
+        {key: type(value) for key, value in (r.port_bytes | r.sender_bytes).items()}
+        for r in records
+    ]
+
+
+def assert_decoders_agree(line: str):
+    """The columnar decode of a v1 line and the record decode accept the
+    same lines and mean the same batch by them."""
+    try:
+        want = decode_batch(line)
+    except CodecError:
+        with pytest.raises(CodecError):
+            decode_batch_segment(line)
+        return
+    try:
+        reference = IterationSegment.from_records(list(want.records))
+    except RuntimeError:  # empty batch, a field outside the 64-bit range
+        with pytest.raises(CodecError):
+            decode_batch_segment(line)
+        return
+    got = decode_batch_segment(line)
+    assert_same_segment(got, reference)
+    got._records = None  # read the columns, not a record-route cache
+    assert got.records() == list(want.records)
+    assert value_types(got.records()) == value_types(want.records)
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +193,103 @@ def test_non_finite_json_literal_rejected_on_decode():
     assert "NaN" in doctored
     with pytest.raises(CodecError, match="non-finite"):
         decode_batch(doctored)
+
+
+# ----------------------------------------------------------------------
+# v1 lines straight into columns
+# ----------------------------------------------------------------------
+def doctored_line(batch, edit) -> str:
+    payload = json.loads(encode_batch(batch))
+    edit(payload[7])
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def test_v1_segment_decode_equals_the_record_route():
+    batch = RecordBatch.from_records(
+        [
+            make_record(leaf=0, port_bytes={0: 2**63 - 1, 1: -(2**63)}),
+            make_record(leaf=1, port_bytes={0: 10.5, 2: 7}, sender_bytes={}),
+            make_record(leaf=2, port_bytes={}, sender_bytes={(1, 1): 0.25}),
+        ]
+    )
+    for candidate in (make_batch(), batch):
+        line = encode_batch(candidate)
+        assert_decoders_agree(line)
+        assert decode_batch_segment(line).records() == list(candidate.records)
+    # an all-int line goes to columns without a record ever being built
+    assert decode_batch_segment(encode_batch(make_batch()))._records is None
+
+
+def test_v1_unsorted_keys_decode_as_the_record_route_sorts_them():
+    def shuffle(entries):
+        entries[0][3].reverse()
+        entries[1][4].reverse()
+
+    line = doctored_line(make_batch(), shuffle)
+    assert line != encode_batch(make_batch())
+    assert_decoders_agree(line)
+    assert_same_segment(
+        decode_batch_segment(line), decode_batch_segment(encode_batch(make_batch()))
+    )
+
+
+def test_v1_duplicate_keys_keep_the_last_value_like_the_record_route():
+    def repeat(entries):
+        entries[0][3].append([0, 77])  # port 0 again, after port 1
+        entries[2][4].insert(1, [0, 1, 5])  # sender (0, 1) twice in a row
+
+    line = doctored_line(make_batch(), repeat)
+    assert_decoders_agree(line)
+    records = decode_batch_segment(line).records()
+    assert records[0].port_bytes == {0: 77, 1: 2000}
+    assert records[2].sender_bytes[(0, 1)] == 5
+
+
+BAD_COUNTERS = ["null", '"abc"', "true", "[1]", "{}", "1e999"]
+
+
+@pytest.mark.parametrize("decode", [decode_batch, decode_batch_segment])
+@pytest.mark.parametrize("column", [3, 4])
+@pytest.mark.parametrize("bad", BAD_COUNTERS)
+def test_non_numeric_counter_rejected_on_decode(decode, column, bad):
+    """A counter is exactly int or finite float: anything else used to
+    reach the detector (``null``: uncaught TypeError; ``"abc"``: the
+    job's whole flush dropped; ``true``: scored as 1)."""
+    marker = 987654321
+    line = doctored_line(
+        make_batch(), lambda entries: entries[1][column][0].__setitem__(-1, marker)
+    ).replace(str(marker), bad)
+    with pytest.raises(CodecError, match="number|non-finite"):
+        decode(line)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e[0].append(0),  # entry arity 6
+        lambda e: e[0].pop(),  # entry arity 4
+        lambda e: e[1][3][0].append(1),  # port pair arity 3
+        lambda e: e[1][4][0].pop(),  # sender triple arity 2
+        lambda e: e[2][3].__setitem__(0, "ab"),  # a string posing as a pair
+        lambda e: e[2][3].__setitem__(0, {"a": 1, "b": 2}),  # an object posing as one
+        lambda e: e[0].__setitem__(0, True),  # bool leaf
+        lambda e: e[0][3][0].__setitem__(0, True),  # bool port key
+        lambda e: e[0][4][0].__setitem__(1, 1.0),  # float sender source
+        lambda e: e[0].__setitem__(0, 2**63),  # leaf outside the 64-bit range
+        lambda e: e[0][3][0].__setitem__(1, -(2**63) - 1),  # counter outside it
+        lambda e: e.clear(),  # n_records lie
+    ],
+)
+def test_malformed_v1_entries_fail_typed_in_the_columnar_decode(edit):
+    line = doctored_line(make_batch(), edit)
+    with pytest.raises(CodecError):
+        decode_batch_segment(line)
+    assert_decoders_agree(line)
+
+
+def test_empty_v1_batch_is_no_segment():
+    with pytest.raises(CodecError, match="empty"):
+        decode_batch_segment('["fprec",1,"b",3,0,2,"allreduce",[]]')
 
 
 # ----------------------------------------------------------------------

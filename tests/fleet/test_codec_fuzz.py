@@ -29,7 +29,7 @@ from repro.fleet import (
     read_fprec,
 )
 
-from .test_codec import job_config, make_batch
+from .test_codec import assert_decoders_agree, job_config, make_batch
 
 DECODERS = (decode_line, decode_batch, decode_job, peek_batch, decode_batch_segment)
 
@@ -68,6 +68,7 @@ def test_every_v1_truncation_fails_typed():
     line = encode_batch(make_batch(n_leaves=2))
     for cut in range(len(line)):
         assert_typed_failure_or_value(line[:cut])  # some prefixes parse as JSON scalars
+        assert_decoders_agree(line[:cut])
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +101,36 @@ def test_internal_count_lies_fail_typed():
             decode_batch(bytes(doctored))
 
 
+def test_v1_count_lies_and_trailing_garbage_fail_typed():
+    """The v2 attacks above, on a JSON line, against the columnar decode."""
+    line = encode_batch(make_batch(n_leaves=3))
+    *head, n_records, tail = line.split(",", 5)
+    assert n_records == "3"
+    for lie in ("0", "1", "2", "4", "2147483648", "-3", "3.5", '"3"', "null"):
+        with pytest.raises(CodecError, match="declares"):
+            decode_batch_segment(",".join([*head, lie, tail]))
+    for garbage in ("x", "]", ",0", " " + line, "\x00"):
+        with pytest.raises(CodecError):
+            decode_batch_segment(line + garbage)
+        assert_decoders_agree(line + garbage)
+
+
 # ----------------------------------------------------------------------
 # Byte flips (deterministic fuzz across every position)
 # ----------------------------------------------------------------------
+def test_single_character_corruption_of_a_v1_line_never_escapes_typed_errors():
+    """Every position of a line overwritten with every character JSON
+    gives a meaning to: the columnar decode raises CodecError or decodes,
+    and in both cases sides with the record decode."""
+    all_int = make_batch(n_leaves=2)  # the column route, until a corruption says otherwise
+    with_float = make_batch(n_leaves=2, sender_bytes={(0, 1): 400, (1, 2): 2.5})
+    for line in (encode_batch(all_int), encode_batch(with_float)):
+        for position in range(len(line)):
+            for char in '[]{},:"-.0129eEtfn \x00\xff':
+                if char != line[position]:
+                    assert_decoders_agree(line[:position] + char + line[position + 1 :])
+
+
 def test_single_byte_flips_never_escape_typed_errors():
     frame = v2_batch_frame()
     for position in range(len(frame)):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import multiprocessing
+import time
+
 import pytest
 
 from repro.fleet import (
@@ -11,6 +16,7 @@ from repro.fleet import (
     encode_batch,
     reference_verdicts,
     serve_workload,
+    shard,
 )
 
 
@@ -23,6 +29,41 @@ def metric(result, name, label=None):
             continue
         total += entry["value"]
     return total
+
+
+@contextlib.contextmanager
+def held_service(monkeypatch, config: FleetConfig, jobs):
+    """A started one-shard service with every job registered and its
+    worker held inside the last registration — outside ``inbox.get()``,
+    so it neither consumes nor holds the queue's reader lock — until the
+    block ends.  What the block submits is all in the inbox when the
+    worker wakes, whatever the two processes' relative speed."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the hold is a patch the worker inherits by fork")
+    assert config.n_shards == 1
+    gate = multiprocessing.Event()
+    build_monitor = shard.build_monitor
+
+    def held_build(job):
+        monitor = build_monitor(job)
+        if job.job_id == jobs[-1].job_id:
+            gate.wait(timeout=60)
+        return monitor
+
+    monkeypatch.setattr(shard, "build_monitor", held_build)
+    service = FleetService(config)
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        deadline = time.monotonic() + 60
+        while service._inboxes[0].qsize():  # the worker took the last one
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        try:
+            yield service
+        finally:
+            time.sleep(0.05)  # let the queue's feeder thread flush
+            gate.set()
 
 
 # ----------------------------------------------------------------------
@@ -117,18 +158,23 @@ def test_block_policy_never_loses_records(small_workload):
     assert result.processed_batches == len(batches)
 
 
-def test_shed_oldest_counts_drops_and_completes(small_workload):
+def test_shed_oldest_counts_drops_and_completes(small_workload, monkeypatch):
     """A one-deep queue forces shedding; the run still completes, every
-    drop is counted, and accounting balances exactly."""
+    drop is counted, and accounting balances exactly.  The worker is
+    held while the batches arrive, so each one evicts its predecessor
+    and only the last is left to score."""
     jobs, batches = small_workload
-    result = serve_workload(
-        jobs,
-        batches,
-        FleetConfig(n_shards=1, queue_depth=1, policy="shed-oldest"),
-    )
-    assert result.shed_records > 0
+    config = FleetConfig(n_shards=1, queue_depth=1, policy="shed-oldest")
+    with held_service(monkeypatch, config, jobs) as service:
+        for batch in batches:
+            service.submit(batch)
+    result = service.result
+    assert result.shed_batches == len(batches) - 1
+    assert result.shed_records == sum(batch.n_records for batch in batches[:-1])
+    assert result.processed_batches == 1
     assert result.processed_records + result.shed_records == result.submitted_records
     assert metric(result, "fleet.shed_records") == result.shed_records
+    assert metric(result, "fleet.jobs") == len(jobs)
 
 
 def test_shed_never_drops_job_registrations(small_workload):
@@ -253,6 +299,35 @@ def test_malformed_line_reported_not_fatal(small_workload):
     assert result.processed_batches == 3  # the good ones still flowed
     assert len(result.errors) == 1
     assert metric(result, "fleet.worker_errors") == 1
+
+
+@pytest.mark.parametrize("poison", ["null", '"abc"', "true", "[1]"])
+def test_non_numeric_counter_costs_one_error_not_the_shard(
+    small_workload, monkeypatch, poison
+):
+    """A v1 line whose counter is not a number, coalesced between two
+    good batches of the same job: one typed decode error, its neighbours
+    scored, the worker alive, and every submitted batch accounted for.
+    (``null`` and ``[1]`` used to kill the worker inside the detector,
+    ``"abc"`` dropped the job's whole flush, ``true`` was scored as 1.)"""
+    jobs, batches = small_workload
+    before, poisoned, after = [
+        batch for batch in batches if batch.job_id == jobs[0].job_id
+    ][:3]
+    payload = json.loads(encode_batch(poisoned))
+    payload[7][1][3][0][1] = 987654321
+    line = json.dumps(payload, separators=(",", ":")).replace("987654321", poison)
+    with held_service(monkeypatch, FleetConfig(n_shards=1), jobs) as service:
+        service.submit(before)
+        service.submit_encoded(line)
+        service.submit(after)
+    result = service.result
+    assert len(result.errors) == 1 and "CodecError" in result.errors[0]
+    assert metric(result, "fleet.worker_errors") == 1
+    assert result.processed_batches == 2
+    assert result.processed_records == before.n_records + after.n_records
+    assert result.submitted_batches == 3
+    assert result.shed_batches == 0
 
 
 def test_submit_before_start_raises(small_workload):

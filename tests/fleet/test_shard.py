@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig
-from repro.fleet import FleetError, ShardRouter, build_monitor, describe_assignment
+from repro.core.blocks import IterationSegment
+from repro.fleet import (
+    FleetError,
+    RecordBatch,
+    ShardRouter,
+    build_monitor,
+    decode_batch,
+    decode_batch_segment,
+    describe_assignment,
+    encode_batch,
+)
 from repro.fleet.codec import JobConfig
+
+from ..core.test_blocks import assert_verdict_parity
+from .test_codec import assert_same_segment
 
 JOB_IDS = list(range(1, 201))
 
@@ -64,3 +79,42 @@ def test_build_monitor_is_deterministic():
     prediction_b = second.predictor.predict()
     for leaf in range(experiment.n_leaves):
         assert prediction_a.for_leaf(leaf).port_bytes == prediction_b.for_leaf(leaf).port_bytes
+
+
+@pytest.mark.parametrize("some_floats", [False, True])
+def test_v1_lines_score_as_their_record_lists_do(small_workload, some_floats):
+    """What a worker now does with a v1 line — segment, dense pass,
+    columnar verdict — against what it did — record list, scalar oracle:
+    equal in every form a verdict takes (``==``, hash, repr, pickled
+    before and after ``results`` is read), int and mixed streams alike."""
+    jobs, batches = small_workload
+    if some_floats:  # integral floats on odd ports: same arithmetic, other column type
+        batches = [
+            RecordBatch.from_records(
+                [
+                    replace(
+                        record,
+                        port_bytes={
+                            port: float(size) if port % 2 else size
+                            for port, size in record.port_bytes.items()
+                        },
+                    )
+                    for record in batch.records
+                ]
+            )
+            for batch in batches
+        ]
+    for job in jobs:
+        lines = [encode_batch(b) for b in batches if b.job_id == job.job_id]
+        segments = [decode_batch_segment(line) for line in lines]
+        for segment, line in zip(segments, lines):
+            assert_same_segment(
+                segment, IterationSegment.from_records(list(decode_batch(line).records))
+            )
+        got = build_monitor(job).process_block(segments)
+        reference = build_monitor(job).process_block(
+            [list(decode_batch(line).records) for line in lines]
+        )
+        assert all(verdict._dense is not None for verdict in got)
+        assert any(verdict.triggered for verdict in got) == bool(job.faulted)
+        assert_verdict_parity(got, reference)

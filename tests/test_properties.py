@@ -22,13 +22,16 @@ from repro.core import (
     FlowPulseMonitor,
     SimulationPredictor,
 )
-from repro.core.blocks import segments_from_run
+from repro.core.blocks import IterationSegment, segments_from_run
 from repro.core.prediction.base import LoadPrediction, LoadPredictor, PortPrediction
 from repro.fastsim import FabricModel, expected_iteration, run_iterations
+from repro.fleet import RecordBatch, decode_batch_segment, encode_batch
 from repro.simnet.counters import IterationRecord
 from repro.simnet.packet import FlowTag
 from repro.topology import ClosSpec, down_link, up_link
 from repro.units import MIB
+
+from .fleet.test_codec import assert_decoders_agree, assert_same_segment
 
 
 @settings(max_examples=25, deadline=None)
@@ -295,3 +298,44 @@ def test_property_block_verdicts_equal_the_scalar_oracle(
     assert pickle.loads(pickle.dumps(got)) == reference
     assert got == reference
     assert pickle.loads(pickle.dumps(got)) == reference
+
+
+_INT64 = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**53 + 1, 2**63 - 2, 2**63 - 1)
+_COUNTER = st.one_of(
+    st.sampled_from(_INT64),
+    st.integers(0, 2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _wire_records(draw):
+    """One iteration's records the way a foreign exporter might shape
+    them: any leaf order, a different port set per leaf (or none), empty
+    sender tables, ints at the 64-bit edges, floats in between."""
+    all_ints = draw(st.booleans())
+    counter = st.one_of(st.sampled_from(_INT64), st.integers(0, 2**40)) if all_ints else _COUNTER
+    key = st.one_of(st.sampled_from(_INT64), st.integers(0, 40))
+    tag = FlowTag(job_id=draw(st.integers(0, 2**70)), iteration=draw(st.integers(0, 2**70)))
+    return [
+        IterationRecord(
+            leaf=draw(key),
+            tag=tag,
+            port_bytes=draw(st.dictionaries(key, counter, max_size=5)),
+            sender_bytes=draw(st.dictionaries(st.tuples(key, key), counter, max_size=5)),
+            start_ns=draw(st.sampled_from(_INT64)),
+            end_ns=draw(st.sampled_from(_INT64)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_wire_records())
+def test_property_v1_line_decodes_to_the_segment_its_records_build(records):
+    """``decode_batch_segment`` on a v1 line is ``from_records`` on the
+    batch it encodes — every column, dtype included — and reads back as
+    the records ``decode_batch`` builds, value types included."""
+    line = encode_batch(RecordBatch.from_records(records), 1)
+    assert_same_segment(decode_batch_segment(line), IterationSegment.from_records(records))
+    assert_decoders_agree(line)
