@@ -8,9 +8,8 @@ explicitly seeded generators, so a run is a pure function of its seed.
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 
@@ -18,25 +17,39 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(frozen=True)
-class EventHandle:
+class EventHandle(list):
     """Opaque handle returned by :meth:`Simulator.schedule`.
 
-    Holds enough state to cancel the event later.  Handles are one-shot:
-    cancelling an already-fired event is a harmless no-op.
+    The handle *is* the event's heap entry, ``[time, seq, callback,
+    args]``: one allocation per scheduled event, ordered by the C-level
+    list comparison (``seq`` is unique, so it never reaches the
+    callback), cancelled by clearing the callback slot.  Handles are
+    one-shot: cancelling an already-fired event is a harmless no-op.
     """
 
-    time: int
-    seq: int
-    _entry: list = field(repr=False, compare=False)
+    __slots__ = ()
+
+    @property
+    def time(self) -> int:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        self._entry[2] = None
+        self[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[2] is None
+        return self[2] is None
+
+    def __hash__(self) -> int:
+        return hash((self[0], self[1]))
+
+    def __repr__(self) -> str:
+        return f"EventHandle(time={self[0]}, seq={self[1]})"
 
 
 class Simulator:
@@ -50,7 +63,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[list] = []
+        self._queue: list[EventHandle] = []
         self._seq = 0
         self.now: int = 0
         self.events_executed: int = 0
@@ -69,7 +82,14 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        # The push is spelled out here and in schedule_at: this is the
+        # simulator's most-called function and a shared helper would
+        # cost one more Python call per event.
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle((self.now + delay, seq, callback, args))
+        heappush(self._queue, handle)
+        return handle
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time`` ns."""
@@ -77,18 +97,20 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        entry = [time, self._seq, callback, args]
-        self._seq += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(time=time, seq=entry[1], _entry=entry)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle((time, seq, callback, args))
+        heappush(self._queue, handle)
+        return handle
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.  Returns False when idle."""
-        while self._queue:
-            time, _seq, callback, args = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _seq, callback, args = heappop(queue)
             if callback is None:  # lazily-cancelled event
                 continue
             if time < self.now:
@@ -111,17 +133,30 @@ class Simulator:
         executed = 0
         started_wall = time.perf_counter() if self.telemetry is not None else 0.0
         started_now = self.now
+        queue = self._queue
         try:
-            while not self._stopped:
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            # One heap pop per event: the head is inspected in place
+            # (it must stay queued when `until` or `max_events` ends the
+            # run) and popped only once it is known to fire or to have
+            # been cancelled.
+            while queue and not self._stopped:
+                head = queue[0]
+                callback = head[2]
+                if callback is None:  # lazily-cancelled event
+                    heappop(queue)
+                    continue
+                now = head[0]
+                if until is not None and now > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                if self.step():
-                    executed += 1
+                heappop(queue)
+                if now < self.now:
+                    raise SimulationError("event queue went backwards in time")
+                self.now = now
+                self.events_executed += 1
+                executed += 1
+                callback(*head[3])
             # Fast-forward the clock to `until` only when the queue is
             # actually drained up to it: if the run stopped early (via
             # stop() or max_events) with events still pending at or
@@ -159,6 +194,7 @@ class Simulator:
 
     def peek_time(self) -> int | None:
         """Time of the next pending event, or None if the queue is idle."""
-        while self._queue and self._queue[0][2] is None:
-            heapq.heappop(self._queue)  # discard lazily-cancelled events
-        return self._queue[0][0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heappop(queue)  # discard lazily-cancelled events
+        return queue[0][0] if queue else None

@@ -113,7 +113,8 @@ class Link:
             return False
         if packet.ecn and not ecn_before and self.telemetry is not None:
             self.telemetry.counter("link.ecn_marks", link=self.name).inc()
-        self._try_transmit()
+        if not self._busy:
+            self._try_transmit()
         return True
 
     def _try_transmit(self) -> None:

@@ -9,12 +9,14 @@ exerted through PFC (see :mod:`repro.simnet.pfc`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Collection
 
 from .packet import Packet, PacketKind, Priority
 
 #: Priorities from most to least urgent, the drain order of the queue.
 _DRAIN_ORDER = sorted(Priority, key=lambda p: p.value, reverse=True)
+#: Their integer values, the keys lanes are stored under (see ``push``).
+_DRAIN_VALUES = [p.value for p in _DRAIN_ORDER]
 
 
 class PriorityByteQueue:
@@ -44,7 +46,12 @@ class PriorityByteQueue:
         self.capacity_bytes = capacity_bytes
         self.on_backlog_change = on_backlog_change
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self._lanes: dict[Priority, deque[Packet]] = {p: deque() for p in Priority}
+        # Lanes are keyed by the priority's integer value and walked
+        # through ``_drain``: ``Enum.__hash__`` is a Python-level call,
+        # and push and pop run once per packet per hop.
+        lanes: list[deque[Packet]] = [deque() for _ in _DRAIN_ORDER]
+        self._lanes = dict(zip(_DRAIN_VALUES, lanes))
+        self._drain = tuple(zip(_DRAIN_ORDER, lanes))
         self._bytes = 0
         self._packets = 0
         self.peak_bytes = 0
@@ -58,10 +65,11 @@ class PriorityByteQueue:
             and self._bytes + packet.size > self.capacity_bytes
         ):
             return False
-        self._lanes[packet.priority].append(packet)
+        self._lanes[packet.priority._value_].append(packet)
         self._bytes += packet.size
         self._packets += 1
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
         if (
             self.ecn_threshold_bytes is not None
             and self._bytes >= self.ecn_threshold_bytes
@@ -70,29 +78,30 @@ class PriorityByteQueue:
         ):
             packet.ecn = True
             self.ecn_marked += 1
-        self._notify()
+        if self.on_backlog_change is not None:
+            self.on_backlog_change(self._bytes)
         return True
 
-    def pop(self, skip_priorities: Iterable[Priority] = ()) -> Packet | None:
+    def pop(self, skip_priorities: Collection[Priority] = ()) -> Packet | None:
         """Dequeue the head packet of the highest non-skipped priority."""
-        skipped = set(skip_priorities)
-        for priority in _DRAIN_ORDER:
-            if priority in skipped:
-                continue
-            lane = self._lanes[priority]
-            if lane:
+        if not self._packets:  # a link polls its queue after every packet
+            return None
+        for priority, lane in self._drain:
+            # An empty skip collection (no PFC pause in force) must not
+            # cost a membership test, which would hash the enum.
+            if lane and not (skip_priorities and priority in skip_priorities):
                 packet = lane.popleft()
                 self._bytes -= packet.size
                 self._packets -= 1
-                self._notify()
+                if self.on_backlog_change is not None:
+                    self.on_backlog_change(self._bytes)
                 return packet
         return None
 
-    def peek_priority(self, skip_priorities: Iterable[Priority] = ()) -> Priority | None:
+    def peek_priority(self, skip_priorities: Collection[Priority] = ()) -> Priority | None:
         """Priority of the packet :meth:`pop` would return, or None."""
-        skipped = set(skip_priorities)
-        for priority in _DRAIN_ORDER:
-            if priority not in skipped and self._lanes[priority]:
+        for priority, lane in self._drain:
+            if lane and not (skip_priorities and priority in skip_priorities):
                 return priority
         return None
 
@@ -106,7 +115,3 @@ class PriorityByteQueue:
 
     def __bool__(self) -> bool:
         return self._packets > 0
-
-    def _notify(self) -> None:
-        if self.on_backlog_change is not None:
-            self.on_backlog_change(self._bytes)

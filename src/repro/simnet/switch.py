@@ -43,6 +43,9 @@ class LeafSwitch(Node):
         self.policy = policy
         self.rng = rng
         self.uplinks: dict[int, Link] = {}
+        #: dst leaf -> (spine tuple, candidate uplinks), valid while the
+        #: control plane still hands out that very tuple for the pair.
+        self._spray_candidates: dict[int, tuple[tuple[int, ...], list[Link]]] = {}
         self.downlinks: dict[int, Link] = {}
         #: ingress link name -> spine index, for counter attribution
         self._spine_of_link: dict[str, int] = {}
@@ -55,6 +58,7 @@ class LeafSwitch(Node):
     # ------------------------------------------------------------------
     def attach_uplink(self, spine: int, link: Link) -> None:
         self.uplinks[spine] = link
+        self._spray_candidates.clear()
 
     def attach_downlink(self, host: int, link: Link) -> None:
         self.downlinks[host] = link
@@ -92,12 +96,15 @@ class LeafSwitch(Node):
             downlink.enqueue(packet)
             return
         try:
-            spines = self.control.valid_spines(self.leaf, dst_leaf)
+            spines = self.control.spray_spines(self.leaf, dst_leaf)
         except TopologyError as exc:
             self.misrouted_packets += 1
             raise RoutingError(str(exc)) from exc
-        candidates = [self.uplinks[s] for s in spines]
-        chosen = self.policy.choose(candidates, packet, self.rng)
+        cached = self._spray_candidates.get(dst_leaf)
+        if cached is None or cached[0] is not spines:
+            cached = (spines, [self.uplinks[s] for s in spines])
+            self._spray_candidates[dst_leaf] = cached
+        chosen = self.policy.choose(cached[1], packet, self.rng)
         chosen.enqueue(packet)
 
 

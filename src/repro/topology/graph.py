@@ -117,9 +117,10 @@ class ClosSpec:
 
     def leaf_of_host(self, host: int) -> int:
         """Leaf switch index the host is attached to."""
-        if not 0 <= host < self.n_hosts:
+        per_leaf = self.hosts_per_leaf
+        if not 0 <= host < self.n_leaves * per_leaf:
             raise TopologyError(f"host {host} out of range (n={self.n_hosts})")
-        return host // self.hosts_per_leaf
+        return host // per_leaf
 
     def hosts_of_leaf(self, leaf: int) -> range:
         """Hosts attached to ``leaf``."""
@@ -155,6 +156,16 @@ class ControlPlane:
     spec: ClosSpec
     known_disabled: frozenset[str] = field(default_factory=frozenset)
     spray_excluded: frozenset[str] = field(default_factory=frozenset)
+    #: ``(known_disabled, spray_excluded, all spines or None, {(src
+    #: leaf, dst leaf): spines})`` — spray sets memoized for the two
+    #: frozensets they were computed under.  Both are immutable and
+    #: only ever *rebound* (by the four methods below or by direct
+    #: assignment), so comparing identities is enough to notice any
+    #: change, and holding the objects here keeps either identity from
+    #: being recycled.  Filled lazily by :meth:`spray_spines`.
+    _spray_memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for name in self.known_disabled | self.spray_excluded:
@@ -208,18 +219,41 @@ class ControlPlane:
         leaf and the downstream link to the destination leaf are in
         service and not excluded from spraying.  Raises
         :class:`TopologyError` if the pair is partitioned (no valid
-        spine remains).
+        spine remains).  The list is the caller's to keep or mutate.
         """
-        spines = [
-            s
-            for s in range(self.spec.n_spines)
-            if self._sprayable(up_link(src_leaf, s))
-            and self._sprayable(down_link(s, dst_leaf))
-        ]
-        if not spines:
-            raise TopologyError(
-                f"no valid spine from leaf {src_leaf} to leaf {dst_leaf}"
+        return list(self.spray_spines(src_leaf, dst_leaf))
+
+    def spray_spines(self, src_leaf: int, dst_leaf: int) -> tuple[int, ...]:
+        """:meth:`valid_spines` as a shared, immutable tuple.
+
+        The per-packet form: the same tuple object is returned for a
+        pair until ``known_disabled`` or ``spray_excluded`` is rebound,
+        so callers can key their own per-spine-set state on its
+        identity.
+        """
+        disabled, excluded = self.known_disabled, self.spray_excluded
+        memo = self._spray_memo
+        if memo is None or memo[0] is not disabled or memo[1] is not excluded:
+            all_spines = (
+                None if disabled or excluded else tuple(range(self.spec.n_spines))
             )
+            memo = self._spray_memo = (disabled, excluded, all_spines, {})
+        _, _, all_spines, pairs = memo
+        if all_spines is not None:
+            return all_spines
+        spines = pairs.get((src_leaf, dst_leaf))
+        if spines is None:
+            spines = tuple(
+                s
+                for s in range(self.spec.n_spines)
+                if self._sprayable(up_link(src_leaf, s))
+                and self._sprayable(down_link(s, dst_leaf))
+            )
+            if not spines:
+                raise TopologyError(
+                    f"no valid spine from leaf {src_leaf} to leaf {dst_leaf}"
+                )
+            pairs[(src_leaf, dst_leaf)] = spines
         return spines
 
     def reachable(self, src_leaf: int, dst_leaf: int) -> bool:

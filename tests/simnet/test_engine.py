@@ -317,3 +317,96 @@ def test_property_cancelled_events_never_fire(entries):
             expected.append(idx)
     sim.run()
     assert sorted(fired) == expected
+
+
+# ----------------------------------------------------------------------
+# EventHandle contract: the handle is the heap entry, and everything a
+# caller could do with the old handle still holds.
+# ----------------------------------------------------------------------
+def test_handle_exposes_time_and_seq():
+    sim = Simulator()
+    sim.run(until=100)
+    first = sim.schedule(5, lambda: None)
+    second = sim.schedule_at(250, lambda: None)
+    third = sim.schedule(5, lambda: None)
+    assert (first.time, second.time, third.time) == (105, 250, 105)
+    assert (first.seq, second.seq, third.seq) == (0, 1, 2)
+    assert "time=105" in repr(first) and "seq=0" in repr(first)
+
+
+def test_handle_cancelled_before_and_after_firing():
+    sim = Simulator()
+    fired = []
+    kept = sim.schedule(1, fired.append, "kept")
+    dropped = sim.schedule(2, fired.append, "dropped")
+    assert not kept.cancelled and not dropped.cancelled
+    dropped.cancel()
+    dropped.cancel()  # idempotent
+    assert dropped.cancelled and not kept.cancelled
+    sim.run()
+    assert fired == ["kept"]
+    assert not kept.cancelled  # firing is not cancelling
+    kept.cancel()  # after the fact: harmless, and nothing re-fires
+    assert kept.cancelled
+    assert sim.run() == 0
+    assert fired == ["kept"]
+    assert sim.events_executed == 1
+
+
+def test_handles_are_hashable_and_distinct():
+    sim = Simulator()
+    handles = [sim.schedule(7, lambda: None) for _ in range(50)]
+    assert len(set(handles)) == 50
+    owner = {handle: index for index, handle in enumerate(handles)}
+    assert all(owner[handle] == index for index, handle in enumerate(handles))
+    handles[3].cancel()  # cancelling must not move it in a dict or set
+    assert owner[handles[3]] == 3 and handles[3] in set(handles)
+    assert handles[0] != handles[1]
+
+
+def test_pending_events_ignores_cancelled_anywhere_in_the_heap():
+    sim = Simulator()
+    handles = [sim.schedule(delay, lambda: None) for delay in (9, 3, 7, 1, 5)]
+    for handle in handles[::2]:
+        handle.cancel()
+    assert sim.pending_events == 2
+    assert sim.run() == 2
+    assert sim.pending_events == 0
+
+
+def test_ten_thousand_same_time_events_fire_in_insertion_order():
+    sim = Simulator()
+    fired = []
+    for index in range(10_000):
+        sim.schedule(5, fired.append, index)
+    assert sim.run() == 10_000
+    assert fired == list(range(10_000))
+
+
+def test_bounded_runs_execute_each_event_exactly_once():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(1 + index % 7, fired.append, index) for index in range(100)]
+    for handle in handles[::10]:
+        handle.cancel()
+    assert sim.run(max_events=25) == 25
+    assert len(fired) == 25
+    assert sim.run(max_events=0) == 0
+    assert sim.run() == 65
+    assert sorted(fired) == [i for i in range(100) if i % 10]
+    assert len(set(fired)) == 90
+    assert sim.events_executed == 90
+    assert sim.pending_events == 0
+
+
+def test_step_and_run_share_one_queue():
+    sim = Simulator()
+    fired = []
+    for label in "abcd":
+        sim.schedule(3, fired.append, label)
+    sim.schedule(1, fired.append, "first").cancel()
+    assert sim.step() and fired == ["a"]
+    assert sim.run(max_events=2) == 2
+    assert sim.step() and not sim.step()
+    assert fired == list("abcd")
+    assert sim.events_executed == 4

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet import DisconnectFault, FlowTag, Network, Tracer
-from repro.topology import ClosSpec, down_link, up_link
+from repro.simnet import DisconnectFault, FlowTag, Network, Packet, Tracer
+from repro.simnet.spraying import RandomSpray
+from repro.simnet.switch import RoutingError
+from repro.topology import ClosSpec, down_link, host_up_link, up_link
 
 
 def make_net(n_leaves=4, n_spines=2, hosts_per_leaf=1, **kwargs):
@@ -143,3 +145,69 @@ def test_unknown_link_fault_injection_rejected():
     net = make_net()
     with pytest.raises(KeyError):
         net.inject_fault("up:L99->S0", DisconnectFault())
+
+
+class OfferRecorder(RandomSpray):
+    """Random spraying that remembers the candidate set of every choice."""
+
+    def __init__(self):
+        self.offers = []  # (time_ns, [uplink names])
+
+    def choose(self, candidates, packet, rng):
+        self.offers.append((candidates[0].sim.now, [link.name for link in candidates]))
+        return super().choose(candidates, packet, rng)
+
+
+def test_first_packet_after_midrun_disable_sprays_only_on_valid_uplinks():
+    policy = OfferRecorder()
+    net = make_net(mtu=500, spray=policy)
+    net.host(3).on_message(lambda *a: None)
+    net.host(0).send(3, 40_000)
+    disable_at = 600  # leaf 0 is mid-message (it sprays from ~60 to ~1200 ns)
+    net.sim.schedule_at(disable_at, net.control.disable, up_link(0, 1))
+    net.run()
+    both = [up_link(0, 0), up_link(0, 1)]
+    from_leaf0 = [(t, names) for t, names in policy.offers if names[0] in both]
+    before = [names for t, names in from_leaf0 if t < disable_at]
+    after = [names for t, names in from_leaf0 if t >= disable_at]
+    assert len(before) > 10 and len(after) > 10
+    assert all(names == both for names in before)
+    assert all(names == [up_link(0, 0)] for names in after)
+    # Leaf 3 (the ACK path) lost nothing and keeps both uplinks.
+    from_leaf3 = [names for _t, names in policy.offers if names[0] == up_link(3, 0)]
+    assert from_leaf3 and all(len(names) == 2 for names in from_leaf3)
+
+
+def test_candidates_follow_enable_exclude_and_readmit():
+    policy = OfferRecorder()
+    net = make_net(n_spines=3, spray=policy)
+    leaf, ingress = net.leaf(0), net.link(host_up_link(0))
+
+    def offered():
+        leaf.receive(Packet(src_host=0, dst_host=3, size=100), ingress)
+        return policy.offers[-1][1]
+
+    everything = [up_link(0, s) for s in range(3)]
+    assert offered() == everything
+    net.control.disable(down_link(1, 3))
+    assert offered() == [up_link(0, 0), up_link(0, 2)]
+    net.control.exclude_from_spray(up_link(0, 0))
+    assert offered() == [up_link(0, 2)]
+    net.control.enable(down_link(1, 3))
+    assert offered() == [up_link(0, 1), up_link(0, 2)]
+    net.control.readmit_to_spray(up_link(0, 0))
+    assert offered() == everything
+    net.control.known_disabled = frozenset({up_link(0, 2)})
+    assert offered() == [up_link(0, 0), up_link(0, 1)]
+
+
+def test_partitioned_destination_raises_routing_error_for_every_packet():
+    net = make_net()
+    leaf, ingress = net.leaf(0), net.link(host_up_link(0))
+    leaf.receive(Packet(src_host=0, dst_host=3, size=100), ingress)  # routable
+    net.control.disable(down_link(0, 3), down_link(1, 3))
+    for attempt in (1, 2, 3):
+        with pytest.raises(RoutingError, match="no valid spine from leaf 0 to leaf 3"):
+            leaf.receive(Packet(src_host=0, dst_host=3, size=100), ingress)
+        assert leaf.misrouted_packets == attempt
+    leaf.receive(Packet(src_host=0, dst_host=2, size=100), ingress)  # others fine

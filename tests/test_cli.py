@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -420,11 +424,14 @@ def test_invalid_config_is_error_not_traceback(capsys):
 # ----------------------------------------------------------------------
 # forensics: --events-out and the report verb
 # ----------------------------------------------------------------------
-@pytest.fixture
-def chaos_events_path(tmp_path, capsys):
-    path = tmp_path / "events.jsonl"
-    code = main(["chaos", "--scenarios", "2", "--events-out", str(path)])
-    capsys.readouterr()
+@pytest.fixture(scope="module")
+def chaos_events_path(tmp_path_factory):
+    """One ``repro chaos`` run shared by every test that reads its
+    events (``capsys`` is function-scoped, hence the redirect).  Tests
+    must not write to the file; one that needs to works on a copy."""
+    path = tmp_path_factory.mktemp("chaos") / "events.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["chaos", "--scenarios", "2", "--events-out", str(path)])
     assert code == 0
     return path
 
@@ -512,17 +519,19 @@ def test_report_verb_unclassifiable_input_exits_two(tmp_path, capsys):
 
 
 def test_report_verb_flags_dropped_lines(chaos_events_path, tmp_path, capsys):
-    with open(chaos_events_path, "a") as handle:
+    truncated = tmp_path / chaos_events_path.name
+    shutil.copy(chaos_events_path, truncated)
+    with open(truncated, "a") as handle:
         handle.write('{"type": "audit.le')  # truncated by a kill
     code = main(
-        ["report", str(chaos_events_path), "--out", str(tmp_path / "o")]
+        ["report", str(truncated), "--out", str(tmp_path / "o")]
     )
     captured = capsys.readouterr()
     assert code == 1  # data loss is a forensics finding, not a crash
     assert "malformed" in captured.err
     code = main(
         [
-            "report", str(chaos_events_path),
+            "report", str(truncated),
             "--out", str(tmp_path / "o2"),
             "--strict",
         ]

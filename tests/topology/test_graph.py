@@ -200,3 +200,69 @@ def test_spray_exclusion_partition_raises():
     plane.exclude_from_spray(up_link(0, 0))
     with pytest.raises(TopologyError):
         plane.valid_spines(0, 1)
+
+
+# ----------------------------------------------------------------------
+# valid_spines is memoized per (src, dst) under the current
+# known_disabled / spray_excluded objects: every rebind must show up in
+# the very next answer, and answers are the caller's to mutate.
+# ----------------------------------------------------------------------
+def test_valid_spines_follows_every_rebind_immediately():
+    spec = ClosSpec(n_leaves=4, n_spines=3)
+    plane = ControlPlane(spec)
+    assert plane.valid_spines(0, 1) == [0, 1, 2]  # fills the memo
+    plane.disable(up_link(0, 1))
+    assert plane.valid_spines(0, 1) == [0, 2]
+    plane.exclude_from_spray(down_link(2, 1))
+    assert plane.valid_spines(0, 1) == [0]
+    assert plane.valid_spines(0, 3) == [0, 2]
+    plane.enable(up_link(0, 1))
+    assert plane.valid_spines(0, 1) == [0, 1]
+    plane.readmit_to_spray(down_link(2, 1))
+    assert plane.valid_spines(0, 1) == [0, 1, 2]
+    plane.known_disabled = frozenset({down_link(0, 1), down_link(1, 1)})
+    assert plane.valid_spines(0, 1) == [2]
+    plane.spray_excluded = frozenset({up_link(3, 0)})
+    assert plane.valid_spines(3, 2) == [1, 2]
+    plane.known_disabled = frozenset()
+    plane.spray_excluded = frozenset()
+    assert plane.valid_spines(0, 1) == [0, 1, 2]
+
+
+def test_valid_spines_returns_a_caller_owned_list():
+    spec = ClosSpec(n_leaves=4, n_spines=3)
+    for plane in (
+        ControlPlane(spec),
+        ControlPlane(spec, known_disabled=frozenset({up_link(0, 1)})),
+    ):
+        first = plane.valid_spines(0, 2)
+        expected = list(first)
+        assert isinstance(first, list)
+        first.clear()
+        first.append(99)
+        assert plane.valid_spines(0, 2) == expected
+        assert plane.valid_spines(0, 2) is not plane.valid_spines(0, 2)
+
+
+def test_spray_spines_shares_one_tuple_until_a_rebind():
+    spec = ClosSpec(n_leaves=4, n_spines=3)
+    plane = ControlPlane(spec, known_disabled=frozenset({up_link(0, 1)}))
+    spines = plane.spray_spines(0, 2)
+    assert spines == (0, 2)
+    assert plane.spray_spines(0, 2) is spines
+    plane.disable(up_link(0, 2))
+    assert plane.spray_spines(0, 2) == (0,)
+
+
+def test_partitioned_pair_raises_on_every_call():
+    spec = ClosSpec(n_leaves=3, n_spines=2)
+    plane = ControlPlane(spec)
+    assert plane.valid_spines(0, 1) == [0, 1]
+    plane.disable(up_link(0, 0), down_link(1, 1))
+    for _ in range(3):
+        with pytest.raises(TopologyError, match="no valid spine from leaf 0 to leaf 1"):
+            plane.valid_spines(0, 1)
+        assert not plane.reachable(0, 1)
+    assert plane.valid_spines(0, 2) == [1]  # other pairs still answer
+    plane.enable(up_link(0, 0))
+    assert plane.valid_spines(0, 1) == [0]
