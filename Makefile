@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 PYTEST_ARGS ?=
 
-.PHONY: test lint bench bench-compare sweep-bench fleet-bench fleet-demo ha-demo report-demo grey-demo
+.PHONY: test lint bench bench-compare fleet-demo ha-demo report-demo grey-demo
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q $(PYTEST_ARGS)
@@ -25,12 +25,6 @@ bench:
 # make bench-compare BASE=bench/baseline/BENCH_0011.json NEW=BENCH_0012.json
 bench-compare:
 	$(PYTHON) bench/compare.py $(BASE) $(NEW)
-
-sweep-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/test_sweep_throughput.py -q -s
-
-fleet-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/test_fleet_throughput.py -q -s
 
 # End-to-end fleet walkthrough: generate a multi-job workload, stream it
 # through a sharded service (incident log to /tmp), verify golden parity.

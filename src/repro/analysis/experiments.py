@@ -386,8 +386,13 @@ def sweep(
 ) -> dict:
     """Run a batch per value of one config parameter.
 
-    Returns ``{value: BatchResult}`` in the given value order.
+    Returns ``{value: BatchResult}`` in the given value order.  Results
+    are keyed by value, so a repeated value is rejected rather than run
+    twice and reported once.
     """
+    values = list(values)
+    if len(set(values)) != len(values):
+        raise ExperimentError(f"duplicate {parameter} values: {values}")
     results = {}
     for value in values:
         step = replace(config, **{parameter: value})

@@ -123,13 +123,6 @@ def _run_task_timed(task: SweepTask) -> tuple[TrialOutcome, float]:
     return outcome, time.perf_counter() - started
 
 
-def _run_task_timed_uncached(task: SweepTask) -> tuple[TrialOutcome, float]:
-    """Instrumented worker without baseline caching."""
-    started = time.perf_counter()
-    outcome = _run_task_uncached(task)
-    return outcome, time.perf_counter() - started
-
-
 @dataclass
 class SweepRunner:
     """Fans trial grids out over a process pool, deterministically.
@@ -138,10 +131,6 @@ class SweepRunner:
     no pool, no pickling.  ``jobs=N`` uses a ``multiprocessing`` pool of
     ``N`` workers; ``jobs=0`` means one worker per CPU.  Results are
     identical in all cases.
-
-    ``cache_baselines=False`` disables predictor-baseline sharing (the
-    benchmark's honest serial comparison point); results are unchanged
-    either way.
 
     ``telemetry`` (a duck-typed session, see
     :mod:`repro.telemetry.session`) and ``progress`` (a callable
@@ -153,7 +142,6 @@ class SweepRunner:
     """
 
     jobs: int = 1
-    cache_baselines: bool = True
     chunksize: int | None = None
     telemetry: Any = field(default=None, compare=False)
     progress: Any = field(default=None, compare=False)
@@ -177,7 +165,6 @@ class SweepRunner:
             return []
         started = time.perf_counter()
         if self.jobs == 1:
-            cache = _BASELINE_CACHE if self.cache_baselines else None
             if self._instrumented:
                 outcomes = []
                 busy = 0.0
@@ -188,7 +175,7 @@ class SweepRunner:
                         injected=t.injected,
                         base_seed=t.base_seed,
                         trial=t.trial,
-                        predictor_cache=cache,
+                        predictor_cache=_BASELINE_CACHE,
                     )
                     trial_wall = time.perf_counter() - trial_started
                     busy += trial_wall
@@ -204,7 +191,7 @@ class SweepRunner:
                         injected=t.injected,
                         base_seed=t.base_seed,
                         trial=t.trial,
-                        predictor_cache=cache,
+                        predictor_cache=_BASELINE_CACHE,
                     )
                     for t in tasks
                 ]
@@ -214,15 +201,10 @@ class SweepRunner:
             )
             with multiprocessing.Pool(processes=self.jobs) as pool:
                 if self._instrumented:
-                    worker = (
-                        _run_task_timed
-                        if self.cache_baselines
-                        else _run_task_timed_uncached
-                    )
                     outcomes = []
                     busy = 0.0
                     for index, (outcome, trial_wall) in enumerate(
-                        pool.imap(worker, tasks, chunksize=chunksize)
+                        pool.imap(_run_task_timed, tasks, chunksize=chunksize)
                     ):
                         busy += trial_wall
                         outcomes.append(outcome)
@@ -231,9 +213,8 @@ class SweepRunner:
                             trial_wall, started,
                         )
                 else:
-                    worker = _run_task if self.cache_baselines else _run_task_uncached
                     busy = 0.0
-                    outcomes = pool.map(worker, tasks, chunksize=chunksize)
+                    outcomes = pool.map(_run_task, tasks, chunksize=chunksize)
         elapsed = time.perf_counter() - started
         self.last_stats = SweepStats(
             n_trials=len(tasks), elapsed_s=elapsed, jobs=self.jobs, busy_s=busy
@@ -353,13 +334,16 @@ class SweepRunner:
 
         Returns ``{value: BatchResult}`` in the given value order; every
         batch matches what :meth:`run_batch` (and the serial
-        ``experiments.sweep``) would produce for that value.  All
+        ``experiments.sweep``) would produce for that value.  Values
+        key the result, so duplicates are a :class:`SweepError`.  All
         ``2 * n_trials * len(values)`` trials are dispatched to the pool
         together, so workers stay busy across value boundaries.
         """
         values = list(values)
         if not values:
             raise SweepError("need at least one parameter value")
+        if len(set(values)) != len(values):
+            raise SweepError(f"duplicate {parameter} values: {values}")
         if n_trials < 1:
             raise ExperimentError("need at least one trial")
         configs = [replace(config, **{parameter: value}) for value in values]
@@ -387,12 +371,3 @@ class SweepRunner:
             )
         return results
 
-
-def _run_task_uncached(task: SweepTask) -> TrialOutcome:
-    """Worker entry point without baseline caching."""
-    return run_trial(
-        task.config,
-        injected=task.injected,
-        base_seed=task.base_seed,
-        trial=task.trial,
-    )

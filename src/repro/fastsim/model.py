@@ -22,9 +22,10 @@ spine sets are computed once per model and cached, and per-iteration
 byte volumes accumulate into dense numpy arrays over ``(dst_leaf,
 spine)`` and ``(dst_leaf, spine, src_leaf)``, converted to the sparse
 :class:`IterationRecord` dicts only at the boundary.  The RNG call
-sequence is identical to the original scalar implementation
-(:mod:`repro.fastsim._reference`), so results are bit-identical for
-equal seeds — a property the golden regression tests enforce.
+sequence is identical to the original scalar implementation (kept as
+the test oracle ``tests/fastsim/_reference.py``), so results are
+bit-identical for equal seeds — a property the golden regression tests
+enforce.
 """
 
 from __future__ import annotations
@@ -302,8 +303,8 @@ def simulate_iteration(
     ``_pairs`` lets :func:`run_iterations` pass the sorted leaf-pair
     list once instead of re-deriving it every iteration.
 
-    Bit-identical to :func:`repro.fastsim._reference
-    .reference_simulate_iteration` for equal seeds: the sequence of RNG
+    Bit-identical to the test oracle's ``reference_simulate_iteration``
+    (``tests/fastsim/_reference.py``) for equal seeds: the sequence of RNG
     draws is unchanged, only the accumulation is vectorized.
     """
     spec = model.spec

@@ -91,12 +91,6 @@ class ChaosConfig:
     #: Families the generator draws from (uniformly, from the
     #: scenario's own rng).
     kinds: tuple[str, ...] = KINDS
-    #: Pre-fix kind selection (``KINDS[seed % len(KINDS)]``), kept only
-    #: so historical outcome digests stay reproducible.  The old rule
-    #: ignored ``kinds`` and aliased kind with every
-    #: fabric-size draw at the same stride — seed batches walked the
-    #: families in lockstep instead of sampling them.
-    legacy_kind_selection: bool = False
     #: Spray policy for generated runs.  ``ecmp`` switches the monitor
     #: to the learned predictor automatically: the analytical even
     #: split is structurally wrong for flow-pinned routing.
@@ -277,10 +271,7 @@ def generate_scenario(seed: int, chaos: ChaosConfig | None = None) -> Scenario:
     """
     chaos = chaos or ChaosConfig()
     rng = random.Random(seed)
-    if chaos.legacy_kind_selection:
-        kind = KINDS[seed % len(KINDS)]
-    else:
-        kind = rng.choice(chaos.kinds)
+    kind = rng.choice(chaos.kinds)
     if chaos.fabric is not None:
         # Consume the size draws anyway so later draws (onset, rates)
         # stay aligned with the unpinned stream.

@@ -45,7 +45,6 @@ from .stats import FctSummary, FctTracker, FlowRecord
 from .switch import LeafSwitch, RoutingError, SpineSwitch
 from .trace import TraceEvent, Tracer
 from .transport import GiveupPolicy, ReliableTransport, TransportError
-from . import units
 
 __all__ = [
     "ACK_SIZE",
@@ -100,6 +99,5 @@ __all__ = [
     "Tracer",
     "TransientDropFault",
     "TransportError",
-    "units",
     "make_policy",
 ]

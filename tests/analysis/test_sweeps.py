@@ -60,10 +60,17 @@ def test_chunksize_does_not_change_results():
 
 
 def test_baseline_cache_is_correctness_neutral():
+    """Cold (filling the cache) and warm (every baseline a hit) runs
+    both equal direct ``run_trial`` calls that share no predictor
+    cache."""
     tasks = small_tasks(n=2, base_seed=11)
-    cached = SweepRunner(jobs=1, cache_baselines=True).run_tasks(tasks)
-    uncached = SweepRunner(jobs=1, cache_baselines=False).run_tasks(tasks)
-    assert cached == uncached
+    uncached = [
+        run_trial(t.config, injected=t.injected, base_seed=t.base_seed, trial=t.trial)
+        for t in tasks
+    ]
+    runner = SweepRunner(jobs=1)
+    assert runner.run_tasks(tasks) == uncached
+    assert runner.run_tasks(tasks) == uncached
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +142,20 @@ def test_negative_jobs_rejected():
 def test_sweep_rejects_empty_values():
     with pytest.raises(SweepError):
         SweepRunner().sweep(CONFIG, "drop_rate", [], n_trials=1)
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [(SweepRunner().sweep, SweepError), (sweep, ExperimentError)],
+    ids=["runner", "serial"],
+)
+def test_sweep_rejects_duplicate_values(entry, error):
+    # Results are keyed by value: a repeat would run both grids and
+    # report one (1 == 1.0 collide the same way as literal repeats).
+    with pytest.raises(error, match="duplicate drop_rate"):
+        entry(CONFIG, "drop_rate", [0.01, 0.02, 0.01], n_trials=1)
+    with pytest.raises(error, match="duplicate n_iterations"):
+        entry(CONFIG, "n_iterations", [1, 1.0], n_trials=1)
 
 
 def test_run_batch_rejects_zero_trials():

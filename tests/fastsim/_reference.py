@@ -2,29 +2,25 @@
 
 These are verbatim copies of the original pure-Python
 ``simulate_iteration`` / ``expected_iteration`` hot paths, kept so that
+the golden regression tests (``test_reference_golden.py``) can assert
+the vectorized engine in :mod:`repro.fastsim.model` is *bit-identical*
+for every seed.
 
-- the golden regression tests can assert the vectorized engine in
-  :mod:`repro.fastsim.model` is *bit-identical* for every seed, and
-- the sweep-throughput benchmark has an honest "serial path" to
-  measure its speedup against.
-
-Do not use these in production code paths; they exist only as an
-oracle.  Any behavioural change to the fast simulator must keep the
-golden tests against this module passing (or consciously retire them).
+Test equipment, not part of the package: any behavioural change to the
+fast simulator must keep the golden tests against this module passing
+(or consciously retire them).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..collectives.demand import DemandMatrix
-from ..simnet.counters import IterationRecord
-from ..simnet.packet import FlowTag
-from .model import FabricModel
-from .sampling import FastSimError, expected_arrival_bytes
+from repro.collectives.demand import DemandMatrix
+from repro.fastsim.model import FabricModel
+from repro.fastsim.sampling import FastSimError, expected_arrival_bytes
+from repro.simnet.counters import IterationRecord
+from repro.simnet.packet import FlowTag
+from repro.topology.graph import down_link, up_link
 
 
 def reference_spray_counts(
@@ -110,8 +106,6 @@ def reference_survive_probs(
     include_silent: bool = True,
 ) -> np.ndarray:
     """Per-spine survival probabilities, computed link by link."""
-    from ..topology.graph import down_link, up_link
-
     probs = np.empty(len(spines))
     for idx, spine in enumerate(spines):
         up_keep = 1.0 - model.drop_rate(up_link(src_leaf, spine), include_silent)
@@ -204,92 +198,6 @@ def reference_expected_iteration(
         )
         for leaf in range(spec.n_leaves)
     ]
-
-
-@dataclass(frozen=True)
-class ReferencePortDeviation:
-    """The original (dataclass) ``PortDeviation``."""
-
-    leaf: int
-    spine: int
-    predicted: float
-    observed: float
-    deviation: float
-
-    @property
-    def is_deficit(self) -> bool:
-        return self.deviation < 0
-
-
-@dataclass(frozen=True)
-class ReferenceDetectionResult:
-    """The original ``DetectionResult``: score recomputed per access."""
-
-    leaf: int
-    iteration: int
-    deviations: tuple[ReferencePortDeviation, ...]
-    alarms: tuple[ReferencePortDeviation, ...]
-
-    @property
-    def triggered(self) -> bool:
-        return bool(self.alarms)
-
-    @property
-    def max_abs_deviation(self) -> float:
-        finite = [
-            abs(d.deviation) for d in self.deviations if math.isfinite(d.deviation)
-        ]
-        infinite = [d for d in self.deviations if not math.isfinite(d.deviation)]
-        if infinite:
-            return math.inf
-        return max(finite, default=0.0)
-
-    def deficit_alarms(self) -> tuple[ReferencePortDeviation, ...]:
-        return tuple(a for a in self.alarms if a.is_deficit)
-
-
-class ReferenceThresholdDetector:
-    """The original scalar ``ThresholdDetector.evaluate``.
-
-    Kept for the throughput benchmark's serial baseline.  Note the
-    *exclusive* alarm boundary (``>``) the seed detector used; the
-    production detector now alarms inclusively (``>=``).  The two can
-    only differ when a deviation lands exactly on the threshold.
-    """
-
-    def __init__(self, config) -> None:
-        self.config = config
-
-    def evaluate(self, record: IterationRecord, prediction) -> ReferenceDetectionResult:
-        ports = set(prediction.port_bytes) | set(record.port_bytes)
-        deviations = []
-        for spine in sorted(ports):
-            expected = prediction.port_bytes.get(spine, 0.0)
-            observed = float(record.port_bytes.get(spine, 0))
-            if expected < self.config.min_port_bytes:
-                if observed < self.config.min_port_bytes:
-                    continue  # silent port, as predicted
-                deviation = math.inf
-            else:
-                deviation = (observed - expected) / expected
-            deviations.append(
-                ReferencePortDeviation(
-                    leaf=record.leaf,
-                    spine=spine,
-                    predicted=expected,
-                    observed=observed,
-                    deviation=deviation,
-                )
-            )
-        alarms = tuple(
-            d for d in deviations if abs(d.deviation) > self.config.threshold
-        )
-        return ReferenceDetectionResult(
-            leaf=record.leaf,
-            iteration=record.tag.iteration,
-            deviations=tuple(deviations),
-            alarms=alarms,
-        )
 
 
 def reference_run_iterations(

@@ -1,6 +1,6 @@
 """Golden regression: the vectorized simulator is bit-identical to the
 pre-vectorization reference implementation in
-:mod:`repro.fastsim._reference`.
+``tests/fastsim/_reference.py``.
 
 The determinism contract of the sweep engine rests on this: the
 vectorized hot path may reorganise *accumulation*, but every RNG draw
@@ -21,13 +21,14 @@ from repro.fastsim import (
     run_iterations,
     simulate_iteration,
 )
-from repro.fastsim._reference import (
+from repro.topology import ClosSpec, down_link, up_link
+
+from ._reference import (
     reference_expected_iteration,
     reference_run_iterations,
     reference_simulate_iteration,
     reference_survive_probs,
 )
-from repro.topology import ClosSpec, down_link, up_link
 
 SPEC = ClosSpec(n_leaves=6, n_spines=3, hosts_per_leaf=1)
 

@@ -412,6 +412,14 @@ def test_sweep_uncastable_values_exit_two(capsys):
     assert "cannot parse" in err
 
 
+def test_sweep_duplicate_values_exit_two(capsys):
+    code = main(["sweep", *SMALL, "--values", "0.01", "0.01", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "duplicate drop_rate values" in captured.err
+    assert captured.out == ""  # rejected up front: no grid ran, no table
+
+
 def test_invalid_config_is_error_not_traceback(capsys):
     # drop_rate > 1 violates ExperimentConfig validation: a clean exit-2
     # domain error, not an uncaught exception.

@@ -20,6 +20,8 @@ PACKAGES = [
     "repro.fleet",
     "repro.fleet.ha",
     "repro.greylab",
+    "repro.report",
+    "repro.scenarios",
     "repro.simnet",
     "repro.telemetry",
     "repro.threelevel",
@@ -87,11 +89,32 @@ def test_readme_quickstart_snippet_runs():
 def test_experiments_covers_every_benchmark():
     experiments = (ROOT / "EXPERIMENTS.md").read_text()
     for bench in (ROOT / "benchmarks").glob("test_*.py"):
-        if bench.name == "test_simulator_performance.py":
-            continue  # substrate characterization, not a paper result
         assert bench.name in experiments or bench.stem.split("test_")[1] in (
             experiments.lower()
         ), f"EXPERIMENTS.md does not reference {bench.name}"
+
+
+def test_docs_name_only_files_and_targets_that_exist():
+    """The reverse direction: a deleted benchmark, test file, baseline
+    or make target must not survive in the living docs (``CHANGES.md``
+    and ``ROADMAP.md`` are history and may name what is gone)."""
+    makefile = (ROOT / "Makefile").read_text()
+    targets = set(re.findall(r"^([\w-]+):", makefile, re.M))
+    files = {
+        path.name
+        for top in ("benchmarks", "tests", "bench")
+        for path in (ROOT / top).rglob("*")
+    }
+    for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile"):
+        text = (ROOT / doc).read_text()
+        for name in re.findall(r"\bbenchmarks/(\w+\.py)\b", text):
+            assert (ROOT / "benchmarks" / name).exists(), f"{doc} names benchmarks/{name}"
+        for name in re.findall(r"\b(test_\w+\.py|\w+_baseline\.json)\b", text):
+            assert name in files, f"{doc} names {name}"
+        # `make x` in backticks, at the start of a code line, or in a
+        # Makefile comment — not the English verb mid-sentence.
+        for target in re.findall(r"(?:^|`|# )make ([\w-]+)", text, re.M):
+            assert target in targets, f"{doc} names `make {target}`"
 
 
 def test_examples_listed_in_readme():
