@@ -976,7 +976,7 @@ def _fleet_serve_listen(args: argparse.Namespace) -> int:
 
     asyncio.run(_run())
     routes = {job_id: service._route(job_id) for job_id in service.jobs}
-    n_shards = len(service._inboxes)
+    n_shards = service.n_shards
     result = service.close()
     jobs_per_shard = dict.fromkeys(range(n_shards), 0)
     for shard in routes.values():

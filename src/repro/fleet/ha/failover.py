@@ -33,7 +33,6 @@ it must be zero.
 from __future__ import annotations
 
 import pathlib
-import queue as queue_module
 import tempfile
 import time
 from dataclasses import dataclass
@@ -72,18 +71,12 @@ class HAConfig:
     #: Run failure checks inside ``poll``/``close`` automatically;
     #: disable for tests that drive ``check_health`` by hand.
     auto_failover: bool = True
-    #: How long a blocking dispatch waits per attempt before it
-    #: re-checks the target shard's health (a dead worker's full inbox
-    #: must never wedge ingest forever).
-    dispatch_retry_s: float = 0.25
 
     def __post_init__(self) -> None:
         if self.heartbeat_every is not None and self.heartbeat_every <= 0:
             raise FleetError("heartbeat_every must be positive (or None)")
         if self.miss_limit < 1:
             raise FleetError("miss_limit must be at least 1")
-        if self.dispatch_retry_s <= 0:
-            raise FleetError("dispatch_retry_s must be positive")
 
 
 class HeartbeatMonitor:
@@ -274,7 +267,7 @@ class HAFleetService(FleetService):
 
     def _broadcast_epoch(self, view: View) -> None:
         for shard in sorted(self._live_shards):
-            self._inboxes[shard].put(("epoch", view.epoch))
+            self._send(shard, ("epoch", view.epoch))
 
     def close(self) -> HAFleetResult:
         """Final health pass, drain, and build the HA ledger result."""
@@ -341,43 +334,16 @@ class HAFleetService(FleetService):
     # ------------------------------------------------------------------
     # Ingest resilience
     # ------------------------------------------------------------------
-    def submit_job(self, job) -> int:
-        """Register a job; the control put goes through the resilient
-        dispatch path so a dead shard's full inbox cannot wedge it."""
-        self._require_started()
-        shard = self._route(job.job_id)
-        self._journal_job(shard, job)
-        self._dispatch(shard, ("job", job))
-        self.jobs[job.job_id] = job
-        self.registry.counter("fleet.submitted_jobs").inc()
-        return shard
-
-    def _dispatch(self, shard: int, message) -> None:
-        """Blocking dispatch that cannot deadlock on a dead worker: each
-        timed-out put re-checks health; if the target was failed over,
-        the journal replay already carried this unit to the new owner,
-        so the put is simply abandoned."""
-        if self.config.policy != "block":
-            super()._dispatch(shard, message)
-            return
-        inbox = self._inboxes[shard]
-        deadline = time.monotonic() + self.ha.dispatch_retry_s
-        while True:
-            try:
-                inbox.put_nowait(message)
-                return
-            except queue_module.Full:
-                # Keep harvesting output while waiting — the worker may
-                # itself be blocked writing verdicts to its outbox pipe.
-                if self.poll() == 0:
-                    time.sleep(0.0005)
-                if time.monotonic() < deadline:
-                    continue
-                if self.ha.auto_failover:
-                    self.check_health()
-                if shard not in self._live_shards:
-                    return  # journaled; the replay delivered it
-                deadline = time.monotonic() + self.ha.dispatch_retry_s
+    def _still_draining(self, shard: int) -> bool:
+        """A dead worker's full inbox must never wedge a sender: look
+        for failures, and if the target was failed over stop waiting —
+        the unit was journaled before it was sent, so the replay has
+        already carried it to the new owner."""
+        if self.ha.auto_failover:
+            self.check_health()
+        if shard not in self._live_shards:
+            return False
+        return super()._still_draining(shard)
 
     def _on_shed(self, evicted) -> None:
         super()._on_shed(evicted)
@@ -437,7 +403,7 @@ class HAFleetService(FleetService):
     # ------------------------------------------------------------------
     def poll(self) -> int:
         handled = super().poll()
-        if self.ha.auto_failover and not self._closing and not self._checking:
+        if self.ha.auto_failover:
             self.check_health()
         return handled
 
@@ -448,12 +414,14 @@ class HAFleetService(FleetService):
             return []
         self._checking = True
         try:
-            super().poll()  # fold queued beats before judging silence
+            self._drain_outboxes()  # fold queued beats before judging silence
             if now is None:
                 now = time.time()
             failed: list[tuple[int, str]] = []
             for shard in sorted(self._live_shards):
-                if not self._workers[shard].is_alive():
+                # EOF on the outbox is the exit itself; ``is_alive`` can
+                # lag it by the moment the kernel takes to reap.
+                if self._outboxes[shard].eof or not self._workers[shard].is_alive():
                     failed.append((shard, "process-exit"))
                 elif (
                     self.ha.heartbeat_every is not None
@@ -495,7 +463,7 @@ class HAFleetService(FleetService):
         # Everything the shard shipped before dying is valid pre-death
         # output: harvest it (the reader is at EOF now), then drop the
         # pipe — a frame torn by the kill is discarded with it.
-        FleetService.poll(self)
+        self._drain_outboxes()
         self._retire_outbox(dead_shard)
         self._live_shards.discard(dead_shard)
         self.heartbeats.unwatch(dead_shard)
@@ -556,14 +524,14 @@ class HAFleetService(FleetService):
                     continue
                 target = self._route(job.job_id)
                 self._journal_job(target, job)
-                self._inboxes[target].put(("job", job))
+                self._send(target, ("job", job))
             else:
                 job_id, n_records, _iteration = peek_batch_tag(unit)
                 if job_id not in moved_jobs:
                     continue
                 target = self._route(job_id)
                 self._journal_file(target).write(_stream_unit(unit, text=False))
-                self._inboxes[target].put(("replay", unit, n_records, now))
+                self._send(target, ("replay", unit, n_records, now))
                 records += n_records
             units += 1
         return units, records
@@ -597,5 +565,5 @@ class HAFleetService(FleetService):
         moved jobs, then tell it to forget them (frees the monitors;
         any of their verdicts still in flight are deduplicated)."""
         counts = self._replay_journal(source, moved_jobs)
-        self._inboxes[source].put(("forget", tuple(sorted(moved_jobs))))
+        self._send(source, ("forget", tuple(sorted(moved_jobs))))
         return counts

@@ -16,6 +16,13 @@ the client's ``drain()``, absorb the stall — while other connections
 keep streaming.  ``max_buffer`` bounds what one connection may hold in
 its reassembly buffer, so a misbehaving peer cannot balloon memory.
 
+Nothing here sleeps or ticks.  The shards' outbox pipes are loop
+readers: a verdict frame is folded when it arrives, a dead worker's EOF
+is its own wake-up, a connection parked on a full inbox resumes on the
+next output (a worker that freed room is a worker about to write), and
+the HA failure detector runs on every beacon of the workers still alive
+— which is how often a silent one's miss count can change.
+
 The module also ships the client side (:func:`stream_workload`): a
 loadgen-over-TCP driver that fans a workload out over N connections
 with per-job affinity, preserving each job's iteration order end to
@@ -25,6 +32,7 @@ end (the service's golden-parity invariant needs nothing more).
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +45,7 @@ from ..codec import (
     encode_job,
     peek_batch,
 )
+from ..service import WAIT_TIMEOUT_S
 from ..shard import FleetError
 
 
@@ -51,11 +60,6 @@ class NetServerConfig:
     max_buffer: int = 8 * 1024 * 1024
     #: Socket read size.
     read_chunk: int = 64 * 1024
-    #: Service poll cadence while idle (drains verdicts and, on the HA
-    #: service, runs the failure detector).
-    poll_interval: float = 0.05
-    #: Sleep between retries while a shard inbox is full.
-    backpressure_wait_s: float = 0.005
     #: How long ``close`` waits for open connections to finish their
     #: streams before cancelling them.
     drain_grace_s: float = 10.0
@@ -63,8 +67,6 @@ class NetServerConfig:
     def __post_init__(self) -> None:
         if self.read_chunk < 1:
             raise FleetError("read_chunk must be at least 1 byte")
-        if self.poll_interval <= 0 or self.backpressure_wait_s <= 0:
-            raise FleetError("poll and backpressure intervals must be positive")
 
 
 @dataclass
@@ -89,7 +91,7 @@ class FleetNetServer:
         server = FleetNetServer(service)
         await server.start()        # binds; server.port is the real port
         ...                         # clients stream .fprec units
-        await server.close()        # drain connections, stop polling
+        await server.close()        # drain connections, stop watching
 
     The server never closes the service — ``service.close()`` (drain,
     verdict/incident finalization) stays with the caller, after the
@@ -105,8 +107,12 @@ class FleetNetServer:
         #: watchdogs read this).
         self.last_activity: float = 0.0
         self._server: asyncio.AbstractServer | None = None
-        self._poll_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Outbox reader -> the fd it is registered with the loop under.
+        self._watched: dict[object, int] = {}
+        #: Set when worker output was folded: wakes connections parked
+        #: on a full inbox.
+        self._output = asyncio.Event()
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -117,11 +123,11 @@ class FleetNetServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.last_activity = asyncio.get_running_loop().time()
-        self._poll_task = asyncio.create_task(self._poll_loop())
+        self._watch(self.service.open_outboxes())
 
     async def close(self) -> None:
         """Stop accepting, let open connections finish (bounded by
-        ``drain_grace_s``), and stop the poll loop."""
+        ``drain_grace_s``), and stop watching the outboxes."""
         if self._server is None:
             return
         self._server.close()
@@ -135,22 +141,36 @@ class FleetNetServer:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            try:
-                await self._poll_task
-            except asyncio.CancelledError:
-                pass
-            self._poll_task = None
+        self._watch(())
         self.service.poll()
 
     # ------------------------------------------------------------------
-    async def _poll_loop(self) -> None:
-        """Keep the service's outbox drained (and its failure detector
-        running) even when no connection is sending."""
-        while True:
+    def _on_output(self) -> None:
+        """An outbox is readable — a frame, a beacon, or a dead worker's
+        EOF: fold it (the HA service also runs its failure detector),
+        follow any change in the set of pipes, wake parked connections."""
+        if self.service.started:  # closed under us: just let go of its pipes
             self.service.poll()
-            await asyncio.sleep(self.config.poll_interval)
+        self._watch(self.service.open_outboxes())
+        self._output.set()
+
+    def _watch(self, readers) -> None:
+        """Make the loop's readers exactly ``readers``: drop pipes at
+        EOF or retired (left registered, EOF fires forever), pick up
+        those of shards spawned since.  Each is watched through a
+        ``dup``, so the registration is ours to end: the service closes
+        a dead shard's fd inside the ``poll()`` that saw it die, while
+        siblings forked later hold the read end open — and an fd closed
+        while registered stays in epoll, readable, beyond removal."""
+        loop = asyncio.get_running_loop()
+        readers = set(readers)
+        for reader in self._watched.keys() - readers:
+            fd = self._watched.pop(reader)
+            loop.remove_reader(fd)
+            os.close(fd)
+        for reader in readers - self._watched.keys():
+            fd = self._watched[reader] = os.dup(reader.fileno())
+            loop.add_reader(fd, self._on_output)
 
     async def _on_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
@@ -196,8 +216,11 @@ class FleetNetServer:
         job_id, n_records = peek_batch(unit)
         while not self.service.try_submit_encoded(unit, job_id, n_records):
             self.stats.backpressure_waits += 1
-            self.service.poll()  # let verdicts drain while we wait
-            await asyncio.sleep(self.config.backpressure_wait_s)
+            self._output.clear()
+            try:  # timed: room freed by control messages wakes nothing
+                await asyncio.wait_for(self._output.wait(), WAIT_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                pass
         self.stats.batches += 1
         self.stats.records += n_records
 

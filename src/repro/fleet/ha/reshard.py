@@ -24,7 +24,6 @@ iteration first settles it, and the duplicate is dropped.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..service import DRAIN_TIMEOUT_S
@@ -60,7 +59,7 @@ def grow(service: HAFleetService, n_new: int = 1) -> ReshardReport:
     shards_before = tuple(sorted(service._live_shards))
     old_routes = {job_id: service._route(job_id) for job_id in service.jobs}
     for _ in range(n_new):
-        service._spawn_worker(len(service._inboxes))
+        service._spawn_worker(service.n_shards)
     view = service.coordinator.commit(
         shards=sorted(service._live_shards),
         pins=service.view.pins,
@@ -120,17 +119,8 @@ def shrink(service: HAFleetService, shard_id: int) -> ReshardReport:
     # Graceful retirement: the stop barrier flushes anything still
     # queued (its verdicts dedup against the replayed ones), then the
     # worker ships its metrics and exits.
-    service._put_draining(service._inboxes[shard_id], ("stop",))
-    deadline = time.monotonic() + DRAIN_TIMEOUT_S
-    while shard_id not in service._done:
-        if service.poll() > 0:
-            deadline = time.monotonic() + DRAIN_TIMEOUT_S
-        elif time.monotonic() > deadline:
-            raise FleetError(
-                f"retiring shard {shard_id} never finished draining"
-            )
-        else:
-            time.sleep(0.002)
+    service._send(shard_id, ("stop",))
+    service._drain_until_done({shard_id})
     service._workers[shard_id].join(timeout=DRAIN_TIMEOUT_S)
     service._live_shards.discard(shard_id)
     service.heartbeats.unwatch(shard_id)

@@ -33,6 +33,7 @@ import os
 import queue as queue_module
 import time
 from dataclasses import dataclass
+from multiprocessing import connection
 
 from ..core.monitor import IterationVerdict
 from ..telemetry.events import EventLog
@@ -50,8 +51,14 @@ DRAIN_TIMEOUT_S = 120.0
 QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
 #: Submit drains the outbox every this many batches (amortizes the
-#: zero-timeout select() behind ``Queue.get_nowait``).
+#: non-blocking ``read`` per shard).
 POLL_EVERY = 16
+
+#: Longest one wait for worker output blocks.  Output and a dying
+#: worker's EOF end it at once; the time-out is for what no fd announces
+#: — a worker alive but silent, and inbox room freed by control
+#: messages, which a worker does not answer.
+WAIT_TIMEOUT_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,11 @@ class FleetService:
     def started(self) -> bool:
         return self._started_at is not None
 
+    @property
+    def n_shards(self) -> int:
+        """Workers ever spawned (retired and failed-over ones included)."""
+        return len(self._inboxes)
+
     def start(self) -> None:
         """Spawn the shard workers and open their queues."""
         if self.started:
@@ -266,10 +278,10 @@ class FleetService:
         """Start one shard worker process; shard ids index the inbox and
         worker tables, so spawn order must follow shard id order (the HA
         layer appends new ids when the pool grows)."""
-        if shard != len(self._inboxes):
+        if shard != self.n_shards:
             raise FleetError(
                 f"shard ids must be dense: spawning {shard} "
-                f"with {len(self._inboxes)} existing"
+                f"with {self.n_shards} existing"
             )
         inbox = self._context.Queue(maxsize=self.config.queue_depth)
         read_fd, write_fd = new_outbox_pipe()
@@ -314,13 +326,13 @@ class FleetService:
     def submit_job(self, job: JobConfig) -> int:
         """Register a monitored job; returns its shard.
 
-        Control messages always use blocking puts: registration is never
-        shed, whatever the record policy.
+        Registration is a control message: it waits for inbox room and
+        is never shed, whatever the record policy.
         """
         self._require_started()
         shard = self._route(job.job_id)
         self._journal_job(shard, job)
-        self._put_draining(self._inboxes[shard], ("job", job))
+        self._send(shard, ("job", job))
         self.jobs[job.job_id] = job
         self.registry.counter("fleet.submitted_jobs").inc()
         return shard
@@ -340,25 +352,7 @@ class FleetService:
         ``job_id``/``n_records`` may be omitted; they are then peeked
         from the unit's routing prefix without a full parse.
         """
-        self._require_started()
-        if job_id is None or n_records is None:
-            job_id, n_records = peek_batch(line)
-        started = time.perf_counter()
-        shard = self._route(job_id)
-        self._journal_batch(shard, line, job_id, n_records)
-        message = ("batch", line, n_records, time.time())
-        self._dispatch(shard, message)
-        self._submitted_batches += 1
-        self._submitted_records += n_records
-        self._submitted_batches_c.inc()
-        self._submitted_records_c.inc(n_records)
-        self._sample_depth(shard, self._inboxes[shard])
-        self._submit_busy_s += time.perf_counter() - started
-        # Draining the outbox costs a zero-timeout select() per call; on
-        # the ingest hot path it is amortized over POLL_EVERY batches
-        # (close() always drains fully regardless).
-        if self._submitted_batches % POLL_EVERY == 0:
-            self.poll()
+        self._ingest(line, job_id, n_records, block=True)
 
     def try_submit_encoded(
         self,
@@ -375,21 +369,21 @@ class FleetService:
         ``shed-oldest`` it always accepts (the shed counters absorb the
         overflow, exactly as in blocking submit).
         """
+        return self._ingest(line, job_id, n_records, block=False)
+
+    def _ingest(self, line, job_id, n_records, block: bool) -> bool:
         self._require_started()
         if job_id is None or n_records is None:
             job_id, n_records = peek_batch(line)
         started = time.perf_counter()
         shard = self._route(job_id)
-        message = ("batch", line, n_records, time.time())
-        if self.config.policy == "block":
-            try:
-                self._inboxes[shard].put_nowait(message)
-            except queue_module.Full:
-                return False
-            self._journal_batch(shard, line, job_id, n_records)
-        else:
-            self._journal_batch(shard, line, job_id, n_records)
-            self._put_shedding(self._inboxes[shard], message)
+        # This process is the inbox's only producer, so "not full" still
+        # holds at the put: a refused unit is never journaled, an
+        # accepted one is journaled before it is sent.
+        if not block and self.config.policy == "block" and self._inboxes[shard].full():
+            return False
+        self._journal_batch(shard, line, job_id, n_records)
+        self._send(shard, ("batch", line, n_records, time.time()))
         self._submitted_batches += 1
         self._submitted_records += n_records
         self._submitted_batches_c.inc()
@@ -399,15 +393,6 @@ class FleetService:
         if self._submitted_batches % POLL_EVERY == 0:
             self.poll()
         return True
-
-    def _dispatch(self, shard: int, message) -> None:
-        """Enqueue one batch message onto a shard, honoring the
-        backpressure policy."""
-        inbox = self._inboxes[shard]
-        if self.config.policy == "block":
-            self._put_draining(inbox, message)
-        else:
-            self._put_shedding(inbox, message)
 
     def _journal_job(self, shard: int, job: JobConfig) -> None:
         """Durability hook before a job registration is dispatched; the
@@ -419,55 +404,67 @@ class FleetService:
         """Durability hook before a batch is dispatched; the base
         service keeps no journal."""
 
-    def _put_draining(self, inbox, message) -> None:
-        """Blocking put that keeps draining worker output while it
-        waits.  Outbox pipes are bounded: a worker stalled on verdict
-        output only resumes when the parent reads, so a plain blocking
-        ``put`` here could deadlock the pair."""
-        while True:
-            try:
-                inbox.put_nowait(message)
-                return
-            except queue_module.Full:
-                if self.poll() == 0:
-                    shard = self._inboxes.index(inbox)
-                    worker = self._workers[shard]
-                    if worker is not None and not worker.is_alive():
-                        raise FleetError(
-                            f"shard {shard} died with a full inbox; "
-                            "nothing will ever drain it"
-                        )
-                    time.sleep(0.0005)
+    def _send(self, shard: int, message) -> None:
+        """Hand one message to a shard's inbox — the only code that puts
+        onto one.  With room that is one ``put_nowait``.  Without, a
+        ``"batch"`` under ``shed-oldest`` evicts queued batches until it
+        fits; anything else — control messages are never shed, whatever
+        the policy — waits in :meth:`_wait_for_output` until there is
+        room or :meth:`_still_draining` says to give up.  The wait reads
+        the outboxes, which is what keeps the pair deadlock-free: a
+        worker stalled on its bounded outbox pipe consumes nothing.
 
-    def _put_shedding(self, inbox, message) -> None:
-        """Shed-oldest put: evict queued batches until there is room.
-
-        Only batches are shed.  A control message raced out of the queue
-        is re-enqueued at the back; any of its job's batches that arrive
-        before it then land in the worker's ``unknown_job`` counter
-        rather than deadlocking anything (registering jobs before the
-        record flood, as ``serve_workload`` does, avoids the race
-        entirely).
+        A control message raced out of the queue by an eviction is
+        re-sent at the back; batches of its job that overtake it land in
+        the worker's ``unknown_job`` counter (registering jobs before
+        the flood, as ``serve_workload`` does, avoids the race).
         """
+        inbox = self._inboxes[shard]
+        shedding = self.config.policy == "shed-oldest" and message[0] == "batch"
         while True:
             try:
                 inbox.put_nowait(message)
                 return
             except queue_module.Full:
                 pass
+            if not shedding:
+                if self._wait_for_output() == 0 and not self._still_draining(shard):
+                    return
+                continue
             try:
                 evicted = inbox.get_nowait()
             except queue_module.Empty:
-                # Full-but-empty means the queued item is still in the
-                # feeder thread's buffer; spinning here starves the
-                # feeder of the GIL for a whole switch interval, so
-                # sleep long enough for it to actually flush.
-                time.sleep(0.0001)
+                # Full but empty: the item is still in the feeder
+                # thread's buffer.  "Flushed" is "the queue's read end is
+                # readable"; blocking on that hands the feeder the GIL.
+                self._wait_for_output(also=(inbox._reader,))
                 continue
             if evicted[0] in ("batch", "replay"):
                 self._on_shed(evicted)
-            else:  # never drop control messages
-                self._put_draining(inbox, evicted)
+            else:
+                self._send(shard, evicted)
+
+    def _wait_for_output(self, also=()) -> int:
+        """Fold ready worker output; if there is none, block until an
+        outbox (or anything in ``also``) is readable or
+        :data:`WAIT_TIMEOUT_S` passes, and fold again.  Returns the
+        messages handled.  The fleet's one way to wait, for inbox room
+        too: a worker that took batches is about to write verdicts, and
+        a dead worker's pipe is at EOF, which is readable.
+        """
+        handled = self._drain_outboxes()
+        if handled == 0:
+            connection.wait([*self.open_outboxes(), *also], WAIT_TIMEOUT_S)
+            handled = self._drain_outboxes()
+        return handled
+
+    def _still_draining(self, shard: int) -> bool:
+        """May a sender whose wait for room on ``shard`` came back empty
+        keep waiting?  No failover here, so a dead worker's full inbox
+        is fatal (the HA service recovers and answers False)."""
+        if not self._workers[shard].is_alive():
+            raise FleetError(f"shard {shard} died with a full inbox; nothing will drain it")
+        return True
 
     def _on_shed(self, evicted) -> None:
         """Account one evicted batch message (HA also settles its
@@ -500,6 +497,13 @@ class FleetService:
         surviving worker.
         """
         self._require_started()
+        return self._drain_outboxes()
+
+    def open_outboxes(self) -> list[OutboxReader]:
+        """The outbox readers worth waiting on: not retired, not at EOF."""
+        return [r for r in self._outboxes if r is not None and not r.eof]
+
+    def _drain_outboxes(self) -> int:
         handled = 0
         for reader in self._outboxes:
             if reader is None:
@@ -552,34 +556,12 @@ class FleetService:
         submit_elapsed = self._submit_busy_s
         expected = set(self._live_shards)
         for shard in sorted(expected):
-            self._put_draining(self._inboxes[shard], ("stop",))
-        deadline = time.monotonic() + DRAIN_TIMEOUT_S
-        while not expected <= self._done:
-            if self.poll() > 0:
-                deadline = time.monotonic() + DRAIN_TIMEOUT_S
-                continue
-            # An outbox at EOF with nothing left to parse will never
-            # deliver its shard's "done": fail now, not at the deadline.
-            unfinished = sorted(expected - self._done)
-            exited = [
-                f"shard {shard} (torn_bytes={self._outboxes[shard].torn_bytes})"
-                for shard in unfinished
-                if self._outboxes[shard].eof
-            ]
-            if exited:
-                self._abort()
-                raise FleetError(
-                    "shard worker exited before finishing its drain: "
-                    + ", ".join(exited)
-                )
-            if time.monotonic() > deadline:
-                self._abort()
-                raise FleetError(
-                    "fleet drain timed out waiting for shard workers "
-                    f"(unfinished: {unfinished})"
-                )
-            time.sleep(0.002)
-        self.poll()
+            self._send(shard, ("stop",))
+        try:
+            self._drain_until_done(expected)
+        except FleetError:
+            self._abort()
+            raise
         for shard in sorted(expected):
             self._workers[shard].join(timeout=DRAIN_TIMEOUT_S)
         elapsed = time.perf_counter() - self._started_at
@@ -611,6 +593,32 @@ class FleetService:
                 elapsed_s=elapsed,
             )
         return self.result
+
+    def _drain_until_done(self, shards: set[int]) -> None:
+        """Fold worker output until every shard in ``shards`` (each sent
+        ``("stop",)``) has said "done"; one that exits without is caught
+        at once, by EOF on its outbox."""
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        while not shards <= self._done:
+            if self._wait_for_output() > 0:
+                deadline = time.monotonic() + DRAIN_TIMEOUT_S
+                continue
+            unfinished = sorted(shards - self._done)
+            exited = [
+                f"shard {shard} (torn_bytes={self._outboxes[shard].torn_bytes})"
+                for shard in unfinished
+                if self._outboxes[shard].eof
+            ]
+            if exited:
+                raise FleetError(
+                    "shard worker exited before finishing its drain: "
+                    + ", ".join(exited)
+                )
+            if time.monotonic() > deadline:
+                raise FleetError(
+                    "fleet drain timed out waiting for shard workers "
+                    f"(unfinished: {unfinished})"
+                )
 
     def _abort(self) -> None:
         """Kill workers without draining (error-path teardown)."""

@@ -25,8 +25,9 @@ worker and moves the framing into userspace:
 
 The pipe is sized up to :data:`PIPE_CAPACITY` where the platform allows
 (Linux ``F_SETPIPE_SZ``), so workers rarely block on verdict output;
-when they do, the parent's submit paths drain readers while waiting,
-which keeps the pair live-locked-free (see ``FleetService._put_draining``).
+when they do, the parent's one way of waiting for inbox room is to wait
+on these pipes and read them, which keeps the pair deadlock-free (see
+``FleetService._send``).
 
 Requires fd inheritance across ``fork`` — the Linux default start
 method, and the only one the chaos tooling (SIGKILL hooks) targets.
@@ -106,6 +107,11 @@ class OutboxReader:
         self._buffer = bytearray()
         self._eof = False
         self._closed = False
+
+    def fileno(self) -> int:
+        """The read fd, so ``multiprocessing.connection.wait`` takes a
+        reader as it is (readable means a frame, or EOF)."""
+        return self._fd
 
     @property
     def eof(self) -> bool:

@@ -10,15 +10,24 @@ shard after a chosen fraction of the stream, then an explicit
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
-from repro.fleet import FleetConfig, reference_verdicts
-from repro.fleet.ha import HAConfig, HAFleetService, HeartbeatMonitor
+from repro.fleet import (
+    FleetConfig,
+    LoadGenConfig,
+    generate_workload,
+    reference_verdicts,
+    transport,
+)
+from repro.fleet.ha import HAConfig, HAFleetService, HeartbeatMonitor, grow
 from repro.fleet.shard import FleetError
+
+from .conftest import SMALL_EXPERIMENT
 
 
 def ha_service(n_shards: int, **ha_overrides) -> HAFleetService:
@@ -139,7 +148,7 @@ def test_auto_failover_recovers_during_submit(small_workload):
     jobs, batches = small_workload
     service = HAFleetService(
         FleetConfig(n_shards=2, return_verdicts=True, queue_depth=4),
-        ha=HAConfig(heartbeat_every=None, auto_failover=True, dispatch_retry_s=0.05),
+        ha=HAConfig(heartbeat_every=None, auto_failover=True),
     )
     reference = reference_verdicts(jobs, batches)
     with service:
@@ -154,6 +163,107 @@ def test_auto_failover_recovers_during_submit(small_workload):
     assert result.lost_records == 0
     for job in jobs:
         assert result.verdicts_for(job.job_id) == reference[job.job_id]
+
+
+# ----------------------------------------------------------------------
+# Replay bigger than the queue, output bigger than the pipe
+# ----------------------------------------------------------------------
+#: Six jobs of sixteen iterations: shard 0 of 2 owns jobs 2, 3 and 5
+#: (48 units to replay on its death) and growing to 3 shards moves job 1
+#: (16 units) — each far more than ``queue_depth=2`` admits, with
+#: verdicts (~1 kB apiece) far more than a one-page outbox holds.
+OVERFLOW_LOADGEN = LoadGenConfig(
+    n_jobs=6,
+    n_iterations=16,
+    fault_fraction=0.34,
+    base_seed=7,
+    experiment=SMALL_EXPERIMENT,
+)
+
+
+def overflowing_replay(trigger: str) -> dict:
+    """Submit the whole stream, then make the HA layer replay a journal
+    into a shard whose inbox and outbox are both too small for it."""
+    jobs, batches = generate_workload(OVERFLOW_LOADGEN)
+    reference = reference_verdicts(jobs, batches)
+    service = HAFleetService(
+        FleetConfig(n_shards=2, queue_depth=2, return_verdicts=True),
+        ha=HAConfig(heartbeat_every=None, auto_failover=False),
+    )
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        for batch in batches:
+            service.submit(batch)
+        if trigger == "failover":
+            worker = service._workers[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=10.0)
+            assert service.check_health() == [0]
+            replayed_units = service.ha_log.of_type("ha.failover")[0]["replayed_units"]
+        else:
+            replayed_units = grow(service, n_new=1).replayed_units
+    result = service.result
+    return {
+        "replayed_units": replayed_units,
+        "lost_records": result.lost_records,
+        "accounting_ok": result.accounting_ok,
+        "errors": result.errors,
+        "diverged": [
+            job.job_id
+            for job in jobs
+            if result.verdicts_for(job.job_id) != reference[job.job_id]
+        ],
+    }
+
+
+def run_under_watchdog(scenario, *args, deadline_s: float = 60.0):
+    """``scenario(*args)`` in a forked child leading its own process
+    group.  The bug under test parks the parent and a shard worker on
+    each other forever; here that costs the deadline and a ``killpg``,
+    not the suite."""
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def child() -> None:
+        os.setsid()
+        try:
+            sender.send((True, scenario(*args)))
+        except Exception as exc:  # reported, then the child exits
+            sender.send((False, f"{type(exc).__name__}: {exc}"))
+
+    process = context.Process(target=child)
+    process.start()
+    sender.close()
+    try:
+        if not receiver.poll(deadline_s):
+            pytest.fail(f"{scenario.__name__}{args} wedged for {deadline_s:.0f} s")
+        ok, outcome = receiver.recv()
+    finally:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)  # shard workers too
+        except ProcessLookupError:
+            pass
+        process.join(timeout=10.0)
+    assert ok, outcome
+    return outcome
+
+
+@pytest.mark.parametrize("trigger", ["failover", "grow"])
+def test_replay_larger_than_queue_and_pipe_does_not_deadlock(trigger, monkeypatch):
+    """Journal replay must keep reading the target's output while it
+    waits for inbox room: a worker stalled on a full outbox pipe stops
+    consuming, and a sender that only blocks on the inbox then waits on
+    it forever (dead-shard replay and live handoff alike)."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the outbox pipes are inherited by fork")
+    monkeypatch.setattr(transport, "PIPE_CAPACITY", 4096)  # one page
+    outcome = run_under_watchdog(overflowing_replay, trigger)
+    assert outcome["replayed_units"] > 2 * 4  # several queue-fulls
+    assert outcome["errors"] == []
+    assert outcome["lost_records"] == 0
+    assert outcome["accounting_ok"]
+    assert outcome["diverged"] == []
 
 
 def test_cannot_fail_over_the_last_shard(small_workload):

@@ -9,13 +9,20 @@ record accounting, and protocol errors contained to one connection.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import signal
+import time
 
-from repro.fleet import FPREC_VERSION_BINARY, FleetConfig, reference_verdicts
+import pytest
+
+from repro.fleet import FPREC_VERSION_BINARY, FleetConfig, reference_verdicts, shard
 from repro.fleet.ha import (
     FleetNetServer,
     HAConfig,
     HAFleetService,
     NetServerConfig,
+    grow,
     stream_workload,
 )
 
@@ -51,6 +58,15 @@ def serve_and_stream(
         return server, stats
 
     return asyncio.run(_run())
+
+
+async def eventually(condition, within: float) -> None:
+    """Let the loop run until ``condition()`` holds or ``within``
+    seconds pass (the caller asserts what it needed)."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + within
+    while not condition() and loop.time() < deadline:
+        await asyncio.sleep(0.005)
 
 
 def assert_parity(result, jobs, batches):
@@ -94,7 +110,7 @@ def test_tcp_ingest_applies_backpressure_not_loss(small_workload):
     record still lands exactly once."""
     jobs, batches = small_workload
     service = ha_service(queue_depth=2)
-    config = NetServerConfig(read_chunk=512, backpressure_wait_s=0.001)
+    config = NetServerConfig(read_chunk=512)
     with service:
         server, _stats = serve_and_stream(
             service, jobs, batches, connections=2, config=config
@@ -203,3 +219,119 @@ def test_truncated_stream_counts_as_protocol_error(small_workload):
     assert server.stats.jobs == len(jobs)
     assert server.stats.batches == 0
     assert server.stats.protocol_errors == 1
+
+
+# ----------------------------------------------------------------------
+# The outbox pipes as loop readers
+# ----------------------------------------------------------------------
+def test_idle_server_fails_over_on_eof_and_drops_the_dead_pipe():
+    """No client and no heartbeats: the only thing that can wake the
+    loop when a worker dies is EOF on its outbox.  It must — and exactly
+    once: a reader left registered on a pipe at EOF fires on every turn
+    of the loop."""
+    service = HAFleetService(
+        FleetConfig(n_shards=2), ha=HAConfig(heartbeat_every=None)
+    )
+
+    async def _run():
+        server = FleetNetServer(service)
+        wakeups = 0
+        on_output = server._on_output
+
+        def counted():
+            nonlocal wakeups
+            wakeups += 1
+            on_output()
+
+        server._on_output = counted  # registered by start()
+        await server.start()
+        try:
+            os.kill(service._workers[0].pid, signal.SIGKILL)
+            await eventually(lambda: service.failovers, within=1.0)
+            failovers = service.failovers
+            # Thousands of turns, were it spinning — through the callback
+            # or, for an fd closed while registered, inside the selector.
+            busy = time.process_time()
+            await asyncio.sleep(0.2)
+            busy = time.process_time() - busy
+            return failovers, wakeups, busy, len(server._watched)
+        finally:
+            await server.close()
+
+    with service:
+        failovers, wakeups, busy, watched = asyncio.run(_run())
+    assert failovers == 1
+    assert wakeups <= 2
+    assert busy < 0.1
+    assert watched == 1
+
+
+def test_server_follows_a_shard_grown_mid_run(small_workload):
+    """A shard spawned while the server runs gets its outbox watched
+    (from the next output or beacon of any shard on), and what it
+    scores is folded like any other shard's."""
+    jobs, batches = small_workload
+    service = HAFleetService(
+        FleetConfig(n_shards=2, return_verdicts=True),
+        ha=HAConfig(heartbeat_every=0.02, auto_failover=False),
+    )
+
+    async def _run():
+        server = FleetNetServer(service)
+        await server.start()
+        try:
+            grow(service, n_new=1)
+            await asyncio.to_thread(
+                stream_workload, "127.0.0.1", server.port, jobs, batches
+            )
+            await eventually(
+                lambda: service.aggregator.verdicts_seen == len(batches), within=5.0
+            )
+            assert service.aggregator.verdicts_seen == len(batches)
+            return set(server._watched) == set(service.open_outboxes())
+        finally:
+            await server.close()
+
+    with service:
+        watching_all = asyncio.run(_run())
+        assert service.n_shards == 3
+        assert 2 in {service._route(job.job_id) for job in jobs}
+    assert watching_all
+    assert_parity(service.result, jobs, batches)
+
+
+def test_silent_worker_is_caught_on_the_survivors_beacons(small_workload, monkeypatch):
+    """The server runs no timer for the failure detector: a worker that
+    hangs — alive, its pipe open, just silent — is failed over when the
+    beacons of the shard still alive wake the loop."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the hang is a patch the worker inherits by fork")
+    jobs, _batches = small_workload
+    build_monitor = shard.build_monitor
+
+    def hang_on_shard_0(job):
+        if multiprocessing.current_process().name == "fleet-shard-0":
+            time.sleep(120)
+        return build_monitor(job)
+
+    monkeypatch.setattr(shard, "build_monitor", hang_on_shard_0)
+    service = HAFleetService(
+        FleetConfig(n_shards=2), ha=HAConfig(heartbeat_every=0.05, miss_limit=4)
+    )
+
+    async def _run():
+        server = FleetNetServer(service)
+        await server.start()
+        try:
+            service.submit_job(
+                next(job for job in jobs if service._route(job.job_id) == 0)
+            )
+            await eventually(lambda: service.failovers, within=10.0)
+        finally:
+            await server.close()
+
+    with service:
+        asyncio.run(_run())
+    failover = service.ha_log.of_type("ha.failover")[0]
+    assert (failover["shard"], failover["reason"]) == (0, "heartbeat-timeout")
+    assert service.result.lost_records == 0
