@@ -26,7 +26,7 @@ from ..core.prediction import (
     LoadPredictor,
     SimulationPredictor,
 )
-from ..fastsim.model import FabricModel, run_iterations
+from ..fastsim.model import FabricModel, run_segments
 from ..units import GIB
 from ..topology.fattree import random_preexisting_faults
 from ..topology.graph import ClosSpec, down_link, up_link
@@ -270,7 +270,7 @@ def run_trial_with_verdict(
             return {setup.fault_link: config.drop_rate}
         return {}
 
-    records = run_iterations(
+    segments = run_segments(
         setup.model,
         setup.demand,
         config.n_iterations,
@@ -291,7 +291,7 @@ def run_trial_with_verdict(
     monitor = FlowPulseMonitor(
         predictor, DetectionConfig(threshold=config.threshold), telemetry=telemetry
     )
-    verdict = monitor.process_run(records)
+    verdict = monitor.process_run(segments)
     return _outcome(verdict, setup, injected), verdict
 
 

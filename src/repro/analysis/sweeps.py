@@ -22,7 +22,8 @@ correctness-neutral — they only skip recomputation of pure functions):
 * the ring-collective demand matrix, and
 * stateless predictor baselines (the ``expected_iteration`` of the
   healthy view), keyed by the *known* network state — see
-  :func:`repro.analysis.experiments.predictor_baseline_key`.
+  :func:`repro.analysis.experiments.predictor_baseline_key` — in a
+  small least-recently-used cache per process.
 
 Throughput is recorded per call in :attr:`SweepRunner.last_stats` so
 benchmarks can track trials/sec.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
@@ -92,11 +94,36 @@ class SweepStats:
         return self.busy_s / capacity if capacity > 0 else 0.0
 
 
+#: How many predictor baselines one process keeps.  With pre-existing
+#: faults every trial has its own known network state, hence its own
+#: baseline (an r256 one is several MiB); a trial's fault and healthy
+#: runs are dispatched back to back, so a few entries keep every pair's
+#: hit.
+_BASELINE_CACHE_SIZE = 8
+
+
+class _BaselineCache(OrderedDict):
+    """Least-recently-used dict of at most :data:`_BASELINE_CACHE_SIZE`
+    entries, behind the ``get`` / item assignment the trial runner uses."""
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > _BASELINE_CACHE_SIZE:
+            self.popitem(last=False)
+
+
 #: Per-process predictor-baseline cache.  Plain module state: every
 #: worker process (and the parent, for ``jobs=1``) keeps its own copy,
 #: so no cross-process synchronisation is needed and cached entries are
-#: reused across all tasks a worker handles.
-_BASELINE_CACHE: dict[tuple, Any] = {}
+#: reused across the tasks a worker handles.
+_BASELINE_CACHE = _BaselineCache()
 
 
 def _run_task(task: SweepTask) -> TrialOutcome:
@@ -169,15 +196,7 @@ class SweepRunner:
                 outcomes = []
                 busy = 0.0
                 for index, t in enumerate(tasks):
-                    trial_started = time.perf_counter()
-                    outcome = run_trial(
-                        t.config,
-                        injected=t.injected,
-                        base_seed=t.base_seed,
-                        trial=t.trial,
-                        predictor_cache=_BASELINE_CACHE,
-                    )
-                    trial_wall = time.perf_counter() - trial_started
+                    outcome, trial_wall = _run_task_timed(t)
                     busy += trial_wall
                     outcomes.append(outcome)
                     self._observe_trial(
@@ -185,16 +204,7 @@ class SweepRunner:
                     )
             else:
                 busy = 0.0
-                outcomes = [
-                    run_trial(
-                        t.config,
-                        injected=t.injected,
-                        base_seed=t.base_seed,
-                        trial=t.trial,
-                        predictor_cache=_BASELINE_CACHE,
-                    )
-                    for t in tasks
-                ]
+                outcomes = [_run_task(t) for t in tasks]
         else:
             chunksize = self.chunksize or max(
                 1, len(tasks) // (4 * self.jobs) or 1
@@ -308,19 +318,7 @@ class SweepRunner:
         """
         if n_trials < 1:
             raise ExperimentError("need at least one trial")
-        tasks = [
-            SweepTask(config=config, injected=True, base_seed=base_seed, trial=t)
-            for t in range(n_trials)
-        ] + [
-            SweepTask(config=config, injected=False, base_seed=base_seed, trial=t)
-            for t in range(n_trials)
-        ]
-        outcomes = self.run_tasks(tasks)
-        return BatchResult(
-            config=config,
-            positives=tuple(outcomes[:n_trials]),
-            negatives=tuple(outcomes[n_trials:]),
-        )
+        return _batch_result(config, self.run_tasks(_batch_tasks(config, n_trials, base_seed)))
 
     def sweep(
         self,
@@ -347,27 +345,30 @@ class SweepRunner:
         if n_trials < 1:
             raise ExperimentError("need at least one trial")
         configs = [replace(config, **{parameter: value}) for value in values]
-        tasks = []
-        for step in configs:
-            for injected in (True, False):
-                tasks.extend(
-                    SweepTask(
-                        config=step,
-                        injected=injected,
-                        base_seed=base_seed,
-                        trial=t,
-                    )
-                    for t in range(n_trials)
-                )
+        tasks = [
+            task for step in configs for task in _batch_tasks(step, n_trials, base_seed)
+        ]
         outcomes = self.run_tasks(tasks)
-        results = {}
         per_value = 2 * n_trials
-        for idx, (value, step) in enumerate(zip(values, configs)):
-            chunk = outcomes[idx * per_value : (idx + 1) * per_value]
-            results[value] = BatchResult(
-                config=step,
-                positives=tuple(chunk[:n_trials]),
-                negatives=tuple(chunk[n_trials:]),
-            )
-        return results
+        return {
+            value: _batch_result(step, outcomes[idx * per_value : (idx + 1) * per_value])
+            for idx, (value, step) in enumerate(zip(values, configs))
+        }
 
+
+def _batch_tasks(config: ExperimentConfig, n_trials: int, base_seed: int) -> list[SweepTask]:
+    """A batch's tasks, each trial's fault run directly followed by its
+    healthy run: the two share the trial's known network state, so the
+    second finds the predictor baseline the first cached."""
+    return [
+        SweepTask(config=config, injected=injected, base_seed=base_seed, trial=t)
+        for t in range(n_trials)
+        for injected in (True, False)
+    ]
+
+
+def _batch_result(config: ExperimentConfig, outcomes: list[TrialOutcome]) -> BatchResult:
+    """Outcomes of :func:`_batch_tasks`, split back by polarity."""
+    return BatchResult(
+        config=config, positives=tuple(outcomes[0::2]), negatives=tuple(outcomes[1::2])
+    )

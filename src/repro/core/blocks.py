@@ -27,6 +27,7 @@ columnar path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -74,6 +75,14 @@ def _pack_values(values: list) -> tuple[np.ndarray, np.ndarray]:
     return raw, flags
 
 
+def pack_array(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pack_values` for a whole ``int64`` or ``float64`` vector:
+    every slot flagged alike, floats stored as their bit pattern."""
+    if values.dtype.kind == "f":
+        return values.view(RAW_DTYPE), np.full(len(values), VALUE_FLOAT, dtype=FLAG_DTYPE)
+    return values.astype(RAW_DTYPE, copy=False), np.zeros(len(values), dtype=FLAG_DTYPE)
+
+
 def _unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
     """The raw/flag columns back as Python values, original types intact."""
     values = raw.tolist()
@@ -117,6 +126,10 @@ class IterationSegment:
     )
     _pattern: np.ndarray | None = field(default=None, repr=False, compare=False)
     _pattern_known: bool = field(default=False, repr=False, compare=False)
+    #: ``(spine, src)`` tuples of the sender key columns, when the
+    #: producer already holds them (the fast simulator reuses one key
+    #: layout for a whole run); built per materialization otherwise.
+    _sender_keys: list | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -203,42 +216,34 @@ class IterationSegment:
 
     def _materialize(self, lo: int, hi: int) -> list[IterationRecord]:
         """Records ``lo..hi``, read off ``tolist()``-ed column slices (one
-        numpy call per column, not one scalar index per key and value)."""
-        tag = self.tag
+        numpy call per column, not one scalar index per key and value).
+        Each record's tables take the next ``count`` items of one
+        ``(key, value)`` stream; the per-record walk runs in ``map``."""
         p = self.port_offsets[lo : hi + 1]
         s = self.sender_offsets[lo : hi + 1]
         ports, senders = slice(p[0], p[-1]), slice(s[0], s[-1])
-        p, s = (p - p[0]).tolist(), (s - s[0]).tolist()
-        port_keys = self.port_keys[ports].tolist()
-        port_values = _unpack_values(self.port_raw[ports], self.port_flags[ports])
-        sender_keys = list(
+        port_items = zip(
+            self.port_keys[ports].tolist(),
+            _unpack_values(self.port_raw[ports], self.port_flags[ports]),
+        )
+        keys = self._sender_keys
+        sender_items = zip(
             zip(self.sender_spines[senders].tolist(), self.sender_srcs[senders].tolist())
+            if keys is None
+            else keys[senders],
+            _unpack_values(self.sender_raw[senders], self.sender_flags[senders]),
         )
-        sender_values = _unpack_values(
-            self.sender_raw[senders], self.sender_flags[senders]
-        )
-        records = []
-        for j, (leaf, start_ns, end_ns) in enumerate(
-            zip(
+        return list(
+            map(
+                IterationRecord,
                 self.leaves[lo:hi].tolist(),
+                repeat(self.tag),
+                map(dict, map(islice, repeat(port_items), (p[1:] - p[:-1]).tolist())),
+                map(dict, map(islice, repeat(sender_items), (s[1:] - s[:-1]).tolist())),
                 self.start_ns[lo:hi].tolist(),
                 self.end_ns[lo:hi].tolist(),
             )
-        ):
-            port_rows, sender_rows = slice(p[j], p[j + 1]), slice(s[j], s[j + 1])
-            records.append(
-                IterationRecord(
-                    leaf=leaf,
-                    tag=tag,
-                    port_bytes=dict(zip(port_keys[port_rows], port_values[port_rows])),
-                    sender_bytes=dict(
-                        zip(sender_keys[sender_rows], sender_values[sender_rows])
-                    ),
-                    start_ns=start_ns,
-                    end_ns=end_ns,
-                )
-            )
-        return records
+        )
 
     # ------------------------------------------------------------------
     def port_pattern(self) -> np.ndarray | None:

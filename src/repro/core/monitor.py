@@ -472,14 +472,11 @@ class FlowPulseMonitor:
             )
             t.counter("audit.localizations").inc()
 
-    def process_run(
-        self, run_records: list[list[IterationRecord]]
-    ) -> RunVerdict:
-        """Monitor a sequence of iterations."""
-        verdict = RunVerdict()
-        for records in run_records:
-            verdict.verdicts.append(self.process_iteration(records))
-        return verdict
+    def process_run(self, run) -> RunVerdict:
+        """Monitor a sequence of iterations, each a record list or an
+        :class:`~repro.core.blocks.IterationSegment` — one
+        :meth:`process_block` over the whole run."""
+        return RunVerdict(self.process_block(list(run)))
 
 
 def score_for_roc(verdict: RunVerdict, cap: float = 10.0) -> float:

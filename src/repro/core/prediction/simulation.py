@@ -17,11 +17,15 @@ the honest stand-in for that cost, ``expected`` the cheap default.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ...collectives.demand import DemandMatrix
-from ...fastsim.model import FabricModel, expected_iteration, simulate_iteration
 from .base import LoadPrediction, LoadPredictor, PortPrediction, PredictionError
+
+if TYPE_CHECKING:
+    from ...fastsim.model import FabricModel
 
 
 class SimulationPredictor(LoadPredictor):
@@ -50,6 +54,11 @@ class SimulationPredictor(LoadPredictor):
         self._prediction = self._build()
 
     def _build(self) -> LoadPrediction:
+        # Imported here: the simulator emits ``repro.core.blocks``
+        # segments, so importing it while ``repro.core`` initializes
+        # would be circular.
+        from ...fastsim.model import expected_iteration, simulate_iteration
+
         if self.backend == "expected":
             records = expected_iteration(self.model, self.demand)
             return _records_to_prediction(records)

@@ -4,8 +4,10 @@ from .model import (
     FabricModel,
     expected_iteration,
     run_iterations,
+    run_segments,
     simulate_iteration,
     simulate_iteration_with_spines,
+    simulate_segment,
 )
 from .sampling import (
     FastSimError,
@@ -23,7 +25,9 @@ __all__ = [
     "expected_arrival_bytes",
     "expected_iteration",
     "run_iterations",
+    "run_segments",
     "simulate_iteration",
     "simulate_iteration_with_spines",
+    "simulate_segment",
     "spray_counts",
 ]

@@ -1,10 +1,9 @@
 """Fast per-iteration volume simulator.
 
-Produces, for each collective iteration, the same
-:class:`~repro.simnet.counters.IterationRecord` objects the packet
-simulator's collectors emit — per-leaf, per-spine-port, per-sender byte
-volumes — but in microseconds instead of seconds, which is what makes
-the paper's trial sweeps (Fig. 5) tractable.
+Produces, for each collective iteration, the per-leaf, per-spine-port,
+per-sender byte volumes the packet simulator's collectors emit — but in
+microseconds instead of seconds, which is what makes the paper's trial
+sweeps (Fig. 5) tractable.
 
 The model distinguishes three layers of fault knowledge, mirroring the
 paper:
@@ -18,10 +17,15 @@ paper:
   predictor, applied only when simulating "reality".
 
 The hot path is vectorized: per-pair survival probabilities and valid
-spine sets are computed once per model and cached, and per-iteration
-byte volumes accumulate into dense numpy arrays over ``(dst_leaf,
-spine)`` and ``(dst_leaf, spine, src_leaf)``, converted to the sparse
-:class:`IterationRecord` dicts only at the boundary.  The RNG call
+spine sets are computed once per model and cached, port volumes
+accumulate into a dense ``(dst_leaf, spine)`` array, and each leaf
+pair's per-spine arrival vector is kept as drawn.  One builder turns
+those arrays into the iteration's single output, a columnar
+:class:`~repro.core.blocks.IterationSegment` (:func:`simulate_segment`,
+:func:`run_segments`) — the shape the monitor scores in one numpy pass.
+:func:`simulate_iteration` / :func:`run_iterations` return that
+segment's ``records()``, the per-leaf
+:class:`~repro.simnet.counters.IterationRecord` lists.  The RNG call
 sequence is identical to the original scalar implementation (kept as
 the test oracle ``tests/fastsim/_reference.py``), so results are
 bit-identical for equal seeds — a property the golden regression tests
@@ -31,10 +35,12 @@ enforce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..collectives.demand import DemandMatrix
+from ..core.blocks import KEY_DTYPE, IterationSegment, pack_array
 from ..simnet.counters import IterationRecord
 from ..simnet.packet import FlowTag
 from ..units import DEFAULT_MTU
@@ -144,19 +150,17 @@ class FabricModel:
 
     def _pair_paths(
         self, src_leaf: int, dst_leaf: int, include_silent: bool
-    ) -> tuple[list[int], np.ndarray, np.ndarray, bool, bool, tuple]:
+    ) -> tuple[list[int], np.ndarray, np.ndarray, bool, bool]:
         """Cached ``(spines, spine_index_array, survive, all_zero,
-        full_span, sender_keys)`` for a leaf pair.
+        full_span)`` for a leaf pair.
 
         ``spines`` is exactly ``control().valid_spines(src, dst)``,
         ``survive`` exactly :meth:`survive_probs` over it, ``all_zero``
         a precomputed ``all(survive == 0)`` so the sampling layer can
-        skip re-checking the cached vector on every transfer,
+        skip re-checking the cached vector on every transfer, and
         ``full_span`` whether the pair sprays over *every* spine in
         order — letting accumulation use plain row adds instead of
-        fancy indexing — and ``sender_keys`` the pair's
-        ``(spine, src_leaf)`` record keys, prebuilt so per-iteration
-        sender accounting is a single ``dict.update``.
+        fancy indexing.
         """
         key = (src_leaf, dst_leaf, include_silent)
         cached = self._path_cache.get(key)  # type: ignore[attr-defined]
@@ -176,7 +180,6 @@ class FabricModel:
             survive,
             bool(np.all(survive == 0.0)),
             spines == list(range(self.spec.n_spines)),
-            tuple((spine, src_leaf) for spine in spines),
         )
         self._path_cache[key] = entry  # type: ignore[attr-defined]
         return entry
@@ -204,104 +207,118 @@ class FabricModel:
 
 
 # ----------------------------------------------------------------------
-# Dense-array accumulation helpers
+# Dense arrays -> one columnar segment
 # ----------------------------------------------------------------------
-def _records_from_arrays(
-    port_acc: np.ndarray,
-    sender_acc: np.ndarray,
-    tag: FlowTag,
-    start_ns: int,
-    end_ns: int,
-) -> list[IterationRecord]:
-    """Convert dense ``(leaf, spine)`` / ``(leaf, spine, src)`` volume
-    arrays to the sparse per-leaf :class:`IterationRecord` dicts.
+class _PairLayout(NamedTuple):
+    """A demand's leaf pairs and where their arrival vectors land in a
+    segment's sender columns.
 
-    One flat ``nonzero`` scan per array; ``tolist()`` yields native
-    Python ints/floats, matching the dtypes the dict-based path stored.
+    ``pairs`` is ``sorted(demand.leaf_pairs(spec).items())``, the
+    iteration order of every simulation loop.  Each pair yields one
+    vector over its valid spines; concatenated in pair order, ``order``
+    permutes them into the segment's per-leaf ``(spine, src_leaf)``
+    order, whose key columns are ``leaves`` (destination leaf),
+    ``spines`` and ``srcs``.  ``offsets`` (CSR) and ``keys`` (the
+    ``(spine, src_leaf)`` record keys) hold when no entry is zero.
+    Valid spines depend on ``known_disabled`` only, so one layout serves
+    every iteration of a run.
+    """
+
+    pairs: list
+    order: np.ndarray
+    leaves: np.ndarray
+    spines: np.ndarray
+    srcs: np.ndarray
+    offsets: np.ndarray
+    keys: list
+
+
+def _csr_offsets(leaves: np.ndarray, n_leaves: int) -> np.ndarray:
+    """Offsets of each leaf's run in a leaf-sorted column."""
+    return np.searchsorted(leaves, np.arange(n_leaves + 1)).astype(KEY_DTYPE, copy=False)
+
+
+def _pair_layout(
+    model: FabricModel, demand: DemandMatrix, include_silent: bool
+) -> _PairLayout:
+    spec = model.spec
+    pairs = sorted(demand.leaf_pairs(spec).items())
+    spans = [model._pair_paths(src, dst, include_silent)[1] for (src, dst), _size in pairs]
+    widths = [len(idx) for idx in spans]
+    spines = np.concatenate(spans) if spans else np.zeros(0, dtype=KEY_DTYPE)
+    dsts = np.repeat([dst for (_src, dst), _size in pairs], widths).astype(KEY_DTYPE)
+    srcs = np.repeat([src for (src, _dst), _size in pairs], widths).astype(KEY_DTYPE)
+    order = np.lexsort((srcs, spines, dsts))
+    columns = [dsts[order], spines[order].astype(KEY_DTYPE), srcs[order]]
+    for column in columns:
+        column.flags.writeable = False  # shared by every segment of the run
+    offsets = _csr_offsets(columns[0], spec.n_leaves)
+    offsets.flags.writeable = False
+    keys = list(zip(columns[1].tolist(), columns[2].tolist()))
+    return _PairLayout(pairs, order, *columns, offsets, keys)
+
+
+def _segment(
+    port_acc: np.ndarray, arrivals: list, layout: _PairLayout, tag: FlowTag
+) -> IterationSegment:
+    """The iteration's columnar output, read straight off the dense
+    ``(leaf, spine)`` port array and the per-pair arrival vectors.
+
+    Every column equals :meth:`IterationSegment.from_records` of the
+    same records: zero volumes dropped, keys sorted within each leaf,
+    ``int64`` volumes flagged as ints and ``float64`` ones as floats.
     """
     n_leaves = port_acc.shape[0]
-    port_bytes: list[dict] = [dict() for _ in range(n_leaves)]
-    sender_bytes: list[dict] = [dict() for _ in range(n_leaves)]
-    leaf_idx, spine_idx = np.nonzero(port_acc)
-    values = port_acc[leaf_idx, spine_idx]
-    for leaf, spine, value in zip(
-        leaf_idx.tolist(), spine_idx.tolist(), values.tolist()
-    ):
-        port_bytes[leaf][spine] = value
-    leaf_idx, spine_idx, src_idx = np.nonzero(sender_acc)
-    values = sender_acc[leaf_idx, spine_idx, src_idx]
-    for leaf, spine, src, value in zip(
-        leaf_idx.tolist(), spine_idx.tolist(), src_idx.tolist(), values.tolist()
-    ):
-        sender_bytes[leaf][spine, src] = value
-    return [
-        IterationRecord(
-            leaf=leaf,
-            tag=tag,
-            port_bytes=port_bytes[leaf],
-            sender_bytes=sender_bytes[leaf],
-            start_ns=start_ns,
-            end_ns=end_ns,
-        )
-        for leaf in range(n_leaves)
-    ]
+    port_leaves, port_keys = np.nonzero(port_acc)
+    port_raw, port_flags = pack_array(port_acc[port_leaves, port_keys])
+    values = (
+        np.concatenate(arrivals) if arrivals else np.zeros(0, dtype=port_acc.dtype)
+    )[layout.order]
+    leaves, spines, srcs, offsets, keys = layout[2:]
+    kept = values != 0
+    if not kept.all():
+        values, leaves, spines, srcs = values[kept], leaves[kept], spines[kept], srcs[kept]
+        offsets, keys = _csr_offsets(leaves, n_leaves), None
+    sender_raw, sender_flags = pack_array(values)
+    iteration = tag.iteration
+    return IterationSegment(
+        job_id=tag.job_id,
+        iteration=iteration,
+        collective=tag.collective,
+        leaves=np.arange(n_leaves, dtype=KEY_DTYPE),
+        start_ns=np.full(n_leaves, iteration, dtype=KEY_DTYPE),
+        end_ns=np.full(n_leaves, iteration + 1, dtype=KEY_DTYPE),
+        port_offsets=_csr_offsets(port_leaves, n_leaves),
+        port_keys=port_keys.astype(KEY_DTYPE, copy=False),
+        port_raw=port_raw,
+        port_flags=port_flags,
+        sender_offsets=offsets,
+        sender_spines=spines,
+        sender_srcs=srcs,
+        sender_raw=sender_raw,
+        sender_flags=sender_flags,
+        _sender_keys=keys,
+    )
 
 
-def _records_from_port_array(
-    port_acc: np.ndarray,
-    sender_bytes: list[dict],
-    tag: FlowTag,
-    start_ns: int,
-    end_ns: int,
-) -> list[IterationRecord]:
-    """Records from a dense ``(leaf, spine)`` port array plus per-leaf
-    sender dicts already built in sparse form on the hot path."""
-    n_leaves = port_acc.shape[0]
-    port_bytes: list[dict] = [dict() for _ in range(n_leaves)]
-    leaf_idx, spine_idx = np.nonzero(port_acc)
-    values = port_acc[leaf_idx, spine_idx]
-    for leaf, spine, value in zip(
-        leaf_idx.tolist(), spine_idx.tolist(), values.tolist()
-    ):
-        port_bytes[leaf][spine] = value
-    return [
-        IterationRecord(
-            leaf=leaf,
-            tag=tag,
-            port_bytes=port_bytes[leaf],
-            sender_bytes=sender_bytes[leaf],
-            start_ns=start_ns,
-            end_ns=end_ns,
-        )
-        for leaf in range(n_leaves)
-    ]
-
-
-def _sorted_leaf_pairs(
-    demand: DemandMatrix, spec: ClosSpec
-) -> list[tuple[tuple[int, int], int]]:
-    """``sorted(demand.leaf_pairs(spec).items())`` — the iteration order
-    of every simulation loop, in one place."""
-    return sorted(demand.leaf_pairs(spec).items())
-
-
-def simulate_iteration(
+def simulate_segment(
     model: FabricModel,
     demand: DemandMatrix,
     rng: np.random.Generator,
     tag: FlowTag | None = None,
     include_silent: bool = True,
-    _pairs: list | None = None,
-) -> list[IterationRecord]:
-    """Simulate one collective iteration; returns one record per leaf.
+    _layout: _PairLayout | None = None,
+) -> IterationSegment:
+    """Simulate one collective iteration; returns its columnar segment
+    (one record per leaf, in leaf order).
 
     Each source-destination leaf pair sprays its bytes over the control
     plane's valid spines; drops (known-gray and, when
     ``include_silent``, silent) are re-sprayed as the RoCE transport
     would retransmit them.  Records carry iteration-index pseudo-times.
 
-    ``_pairs`` lets :func:`run_iterations` pass the sorted leaf-pair
-    list once instead of re-deriving it every iteration.
+    ``_layout`` lets :func:`run_segments` derive the pair layout once
+    per run instead of every iteration.
 
     Bit-identical to the test oracle's ``reference_simulate_iteration``
     (``tests/fastsim/_reference.py``) for equal seeds: the sequence of RNG
@@ -309,13 +326,12 @@ def simulate_iteration(
     """
     spec = model.spec
     tag = tag or FlowTag(job_id=0, iteration=0)
+    layout = _pair_layout(model, demand, include_silent) if _layout is None else _layout
     port_acc = np.zeros((spec.n_leaves, spec.n_spines), dtype=np.int64)
-    sender_bytes: list[dict] = [dict() for _ in range(spec.n_leaves)]
+    arrivals = []
     mtu, spraying = model.mtu, model.spraying
-    for (src_leaf, dst_leaf), size in (
-        _sorted_leaf_pairs(demand, spec) if _pairs is None else _pairs
-    ):
-        _spines, idx, survive, all_zero, full_span, sender_keys = model._pair_paths(
+    for (src_leaf, dst_leaf), size in layout.pairs:
+        _spines, idx, survive, all_zero, full_span = model._pair_paths(
             src_leaf, dst_leaf, include_silent
         )
         arrived = _deliver_transfer_prevalidated(
@@ -325,21 +341,19 @@ def simulate_iteration(
             port_acc[dst_leaf] += arrived
         else:
             port_acc[dst_leaf, idx] += arrived
-        # Each (src, dst) pair appears once, so its (spine, src) sender
-        # keys cannot collide: the += of the dict-based path reduces to
-        # one C-speed bulk insert.  Zero entries (possible for tiny
-        # transfers) are filtered to match the sparse dict convention.
-        values = arrived.tolist()
-        if 0 in values:
-            senders = sender_bytes[dst_leaf]
-            for key, value in zip(sender_keys, values):
-                if value:
-                    senders[key] = value
-        else:
-            sender_bytes[dst_leaf].update(zip(sender_keys, values))
-    return _records_from_port_array(
-        port_acc, sender_bytes, tag, tag.iteration, tag.iteration + 1
-    )
+        arrivals.append(arrived)
+    return _segment(port_acc, arrivals, layout, tag)
+
+
+def simulate_iteration(
+    model: FabricModel,
+    demand: DemandMatrix,
+    rng: np.random.Generator,
+    tag: FlowTag | None = None,
+    include_silent: bool = True,
+) -> list[IterationRecord]:
+    """:func:`simulate_segment` as one :class:`IterationRecord` per leaf."""
+    return simulate_segment(model, demand, rng, tag, include_silent).records()
 
 
 def simulate_iteration_with_spines(
@@ -361,21 +375,21 @@ def simulate_iteration_with_spines(
     """
     spec = model.spec
     tag = tag or FlowTag(job_id=0, iteration=0)
+    layout = _pair_layout(model, demand, include_silent)
     port_acc = np.zeros((spec.n_leaves, spec.n_spines), dtype=np.int64)
-    sender_acc = np.zeros(
-        (spec.n_leaves, spec.n_spines, spec.n_leaves), dtype=np.int64
-    )
+    arrivals = []
     spine_ingress = np.zeros((spec.n_spines, spec.n_leaves), dtype=np.int64)
 
     up_keep_m, down_keep_m = model._keep_matrices(include_silent)
-    for (src_leaf, dst_leaf), size in sorted(demand.leaf_pairs(spec).items()):
-        _spines, idx, survive, all_zero, _full_span, _sender_keys = model._pair_paths(
+    for (src_leaf, dst_leaf), size in layout.pairs:
+        _spines, idx, survive, all_zero, _full_span = model._pair_paths(
             src_leaf, dst_leaf, include_silent
         )
         up_keep = up_keep_m[src_leaf, idx]
         down_keep = down_keep_m[idx, dst_leaf]
         if all_zero:
             raise FastSimError("every valid path drops all packets")
+        arrived = np.zeros(len(idx), dtype=np.int64)
         n_full, rem = divmod(size, model.mtu)
         for packets, bytes_each in ((n_full, model.mtu), (1 if rem else 0, rem)):
             pending = packets
@@ -387,15 +401,13 @@ def simulate_iteration_with_spines(
                 at_leaf = rng.binomial(at_spine, down_keep)
                 pending = int(counts.sum() - at_leaf.sum())
                 spine_ingress[idx, src_leaf] += at_spine * bytes_each
-                got = at_leaf * bytes_each
-                port_acc[dst_leaf, idx] += got
-                sender_acc[dst_leaf, idx, src_leaf] += got
+                arrived += at_leaf * bytes_each
             else:
                 raise FastSimError("retransmission did not converge")
+        port_acc[dst_leaf, idx] += arrived
+        arrivals.append(arrived)
 
-    leaves = _records_from_arrays(
-        port_acc, sender_acc, tag, tag.iteration, tag.iteration + 1
-    )
+    leaves = _segment(port_acc, arrivals, layout, tag).records()
     spine_records = []
     for spine in range(spec.n_spines):
         row = spine_ingress[spine]
@@ -426,33 +438,33 @@ def expected_iteration(
     disabled links *and* known-gray drop rates.
     """
     spec = model.spec
-    tag = FlowTag(job_id=0, iteration=0)
+    layout = _pair_layout(model, demand, include_silent)
     port_acc = np.zeros((spec.n_leaves, spec.n_spines))
-    sender_acc = np.zeros((spec.n_leaves, spec.n_spines, spec.n_leaves))
-    for (src_leaf, dst_leaf), size in sorted(demand.leaf_pairs(spec).items()):
-        _spines, idx, survive, _all_zero, _full_span, _sender_keys = model._pair_paths(
+    arrivals = []
+    for (src_leaf, dst_leaf), size in layout.pairs:
+        _spines, idx, survive, _all_zero, _full_span = model._pair_paths(
             src_leaf, dst_leaf, include_silent
         )
         arrived = expected_arrival_bytes(size, model.mtu, survive)
         port_acc[dst_leaf, idx] += arrived
-        sender_acc[dst_leaf, idx, src_leaf] += arrived
-    return _records_from_arrays(port_acc, sender_acc, tag, 0, 1)
+        arrivals.append(arrived)
+    return _segment(port_acc, arrivals, layout, FlowTag(job_id=0, iteration=0)).records()
 
 
 #: Schedule of silent faults per iteration: callable(iteration) -> faults.
 FaultSchedule = "callable[[int], dict[str, float]]"
 
 
-def run_iterations(
+def run_segments(
     model: FabricModel,
     demand: DemandMatrix,
     n_iterations: int,
     seed: int = 0,
     job_id: int = 1,
     fault_schedule=None,
-) -> list[list[IterationRecord]]:
-    """Run ``n_iterations`` collective instances; returns per-iteration
-    record lists.
+) -> list[IterationSegment]:
+    """Run ``n_iterations`` collective instances; returns one columnar
+    segment per iteration.
 
     ``fault_schedule(iteration)`` may override the silent-fault set per
     iteration — this is how transient faults (paper Fig. 3) are modelled
@@ -463,10 +475,8 @@ def run_iterations(
     if n_iterations < 1:
         raise FastSimError("need at least one iteration")
     rng = np.random.Generator(np.random.PCG64(seed))
-    # The demand matrix is fixed for the run, so the sorted pair list
-    # (the iteration order of every simulate call) is derived once.
-    pairs = _sorted_leaf_pairs(demand, model.spec)
-    results = []
+    segments = []
+    layout = None
     step_model = model
     last_faults: dict[str, float] | None = None
     for iteration in range(n_iterations):
@@ -475,8 +485,28 @@ def run_iterations(
             if last_faults is None or faults != last_faults:
                 step_model = model.with_silent(faults)
                 last_faults = dict(faults)
+        if layout is None:
+            # Built from the first step model, whose path cache the
+            # first iteration then reuses.
+            layout = _pair_layout(step_model, demand, True)
         tag = FlowTag(job_id=job_id, iteration=iteration)
-        results.append(
-            simulate_iteration(step_model, demand, rng, tag=tag, _pairs=pairs)
+        segments.append(simulate_segment(step_model, demand, rng, tag=tag, _layout=layout))
+    return segments
+
+
+def run_iterations(
+    model: FabricModel,
+    demand: DemandMatrix,
+    n_iterations: int,
+    seed: int = 0,
+    job_id: int = 1,
+    fault_schedule=None,
+) -> list[list[IterationRecord]]:
+    """:func:`run_segments` as per-iteration record lists."""
+    return [
+        segment.records()
+        for segment in run_segments(
+            model, demand, n_iterations, seed=seed, job_id=job_id,
+            fault_schedule=fault_schedule,
         )
-    return results
+    ]

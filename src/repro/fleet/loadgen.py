@@ -12,7 +12,8 @@ file (:func:`write_workload`) for later ``repro fleet replay``.
 Determinism: every job's fault placement, demand, and simulated records
 are functions of ``(base_seed, job_id)`` only, so a workload can be
 regenerated bit-identically — and because each job's records come from
-the identical ``run_iterations`` call a direct trial would make, fleet
+the identical simulation a direct trial runs (``run_iterations`` is the
+records of the trial's ``run_segments``), fleet
 verdicts are directly comparable to single-job trial verdicts.
 """
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
@@ -71,6 +73,36 @@ def test_baseline_cache_is_correctness_neutral():
     runner = SweepRunner(jobs=1)
     assert runner.run_tasks(tasks) == uncached
     assert runner.run_tasks(tasks) == uncached
+
+
+def test_baseline_cache_stays_bounded_and_keeps_pair_hits(monkeypatch):
+    """With pre-existing faults every trial has its own known state and
+    baseline; the cache stays within its bound while each trial's
+    healthy run still reuses the baseline its fault run built."""
+    from repro.analysis import experiments, sweeps
+
+    builds = []
+    make_predictor = experiments.make_predictor
+
+    def counting(config, setup, *args, **kwargs):
+        builds.append(setup.model.known_disabled)
+        return make_predictor(config, setup, *args, **kwargs)
+
+    sweeps._BASELINE_CACHE.clear()
+    config = replace(CONFIG, n_preexisting=2, n_iterations=2)
+    n_trials = 50
+    for base_seed in range(3):
+        builds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "make_predictor", counting)
+            batch = SweepRunner(jobs=1).run_batch(config, n_trials=n_trials, base_seed=base_seed)
+        assert len(sweeps._BASELINE_CACHE) <= sweeps._BASELINE_CACHE_SIZE
+        assert len(builds) <= n_trials  # every healthy run hit its pair's entry
+        for polarity, outcomes in ((True, batch.positives), (False, batch.negatives)):
+            assert list(outcomes) == [
+                run_trial(config, injected=polarity, base_seed=base_seed, trial=t)
+                for t in range(n_trials)
+            ]
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,12 @@ import pytest
 from repro.analysis.experiments import ExperimentConfig, build_trial, demand_for, make_predictor
 from repro.core.blocks import BlockError, IterationSegment, segments_from_run
 from repro.core.detection import DetectionConfig
-from repro.core.monitor import FlowPulseMonitor
+from repro.core.monitor import FlowPulseMonitor, RunVerdict
 from repro.core.prediction.learning import LearningEvent
-from repro.fastsim.model import run_iterations
+from repro.fastsim.model import run_iterations, run_segments
 from repro.simnet.counters import IterationRecord
 from repro.simnet.packet import FlowTag
+from repro.telemetry import TelemetrySession
 
 
 def make_record(leaf=0, iteration=0, port_bytes=None, sender_bytes=None):
@@ -46,7 +47,9 @@ def experiment(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-def run_records(config: ExperimentConfig, faulted=True, trial=0, heals_at=None):
+def run_records(
+    config: ExperimentConfig, faulted=True, trial=0, heals_at=None, simulate=run_iterations
+):
     """``heals_at``: the fault is there from iteration 0 and gone from
     that iteration on (pollutes a learned baseline, then heals)."""
     setup = build_trial(config, base_seed=3, trial=trial)
@@ -58,7 +61,7 @@ def run_records(config: ExperimentConfig, faulted=True, trial=0, heals_at=None):
             return {setup.fault_link: config.drop_rate}
         return {}
 
-    iterations = run_iterations(
+    iterations = simulate(
         setup.model,
         demand_for(config),
         config.n_iterations,
@@ -207,6 +210,37 @@ def test_process_block_parity_segments(predictor, chunk):
         got.extend(block_monitor.process_block(segments[start : start + chunk]))
     assert any(v._dense is not None for v in got)  # the vectorized pass ran
     assert_verdict_parity(got, reference)
+
+
+@pytest.mark.parametrize("predictor", ["analytical", "simulation", "learned"])
+@pytest.mark.parametrize("faulted", [True, False], ids=["faulted", "healthy"])
+def test_process_run_on_simulator_segments_matches_record_lists(predictor, faulted):
+    """``process_run`` fed the simulator's own segments returns the
+    run verdict — and emits the audit trail — that sequential scoring
+    of the record lists does."""
+    config = experiment(predictor=predictor)
+    setup, segments = run_records(config, faulted=faulted, simulate=run_segments)
+    reference_session, session = TelemetrySession(), TelemetrySession()
+    oracle = FlowPulseMonitor(
+        make_predictor(config, setup), DetectionConfig(threshold=config.threshold),
+        telemetry=reference_session,
+    )
+    reference = RunVerdict([oracle.process_iteration(s.records()) for s in segments])
+    assert reference.triggered == faulted
+
+    monitor = FlowPulseMonitor(
+        make_predictor(config, setup), DetectionConfig(threshold=config.threshold),
+        telemetry=session,
+    )
+    _setup, fresh = run_records(config, faulted=faulted, simulate=run_segments)
+    got = monitor.process_run(fresh)
+    assert any(v._dense is not None for v in got.verdicts)  # the vectorized pass ran
+    assert got == reference
+    assert [hash(v) for v in got.verdicts] == [hash(v) for v in reference.verdicts]
+    assert repr(got) == repr(reference)
+    assert got.suspected_links() == reference.suspected_links()
+    assert list(session.events) == list(reference_session.events)
+    assert session.registry.snapshot() == reference_session.registry.snapshot()
 
 
 def test_process_block_parity_record_lists():
