@@ -40,6 +40,9 @@ class Link:
     ``prop_delay_ns``, and silently discards packets the injected fault
     decides to drop.  ``paused`` priorities (PFC) are held in the queue
     but not transmitted.
+
+    An idle link starts a packet without pushing and popping it when
+    that round trip would change nothing; see :meth:`enqueue`.
     """
 
     def __init__(
@@ -64,7 +67,6 @@ class Link:
         self.rate_bps = rate_bps
         self.prop_delay_ns = prop_delay_ns
         self.rng = rng
-        self.injector = injector
         self.tracer = tracer
         #: Optional telemetry session (duck-typed).  Only the *rare*
         #: outcomes — fault drops, queue overflows — emit inline; the
@@ -74,6 +76,18 @@ class Link:
             capacity_bytes=queue_capacity,
             ecn_threshold_bytes=ecn_threshold_bytes,
         )
+        #: The smallest packet a push onto the empty queue would refuse
+        #: (capacity) or could mark (ECN): such packets never skip it.
+        bypass_below = 1 << 62
+        if queue_capacity is not None:
+            bypass_below = queue_capacity + 1
+        if ecn_threshold_bytes is not None:
+            bypass_below = min(bypass_below, ecn_threshold_bytes)
+        self._bypass_below = bypass_below
+        #: Serialization time per packet size (a fabric sends few sizes).
+        self._tx_ns: dict[int, int] = {}
+        #: The injector's live link-name -> fault table.
+        self._faults = injector.faults if injector is not None else {}
         self._busy = False
         self._paused: set[Priority] = set()
         #: Optional hook fired when a packet finishes serialization;
@@ -93,9 +107,29 @@ class Link:
     # Data path
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
-        """Queue a packet for transmission; False on queue overflow."""
+        """Queue a packet for transmission; False on queue overflow.
+
+        On an idle link with an empty queue and no paused priority, a
+        push would hand the packet straight back to the link.  Unless
+        the push would also refuse it (capacity), mark it (ECN) or
+        report the backlog (PFC), the packet starts serializing
+        directly: the same event, scheduled at the same point, as after
+        the round trip.
+        """
+        queue = self.queue
+        if (
+            not self._busy
+            and not queue._packets
+            and packet.size < self._bypass_below
+            and not self._paused
+            and queue.on_backlog_change is None
+        ):
+            if packet.size > queue.peak_bytes:
+                queue.peak_bytes = packet.size
+            self._start(packet)
+            return True
         ecn_before = packet.ecn
-        if not self.queue.push(packet):
+        if not queue.push(packet):
             self.overflow_packets += 1
             if self.tracer is not None:
                 self.tracer.record("overflow", self, packet)
@@ -106,8 +140,8 @@ class Link:
                     link=self.name,
                     pid=packet.pid,
                     size=packet.size,
-                    queue_bytes=self.queue.bytes_used,
-                    queue_packets=len(self.queue),
+                    queue_bytes=queue.bytes_used,
+                    queue_packets=len(queue),
                 )
                 self.telemetry.counter("link.overflows", link=self.name).inc()
             return False
@@ -121,26 +155,33 @@ class Link:
         if self._busy:
             return
         packet = self.queue.pop(skip_priorities=self._paused)
-        if packet is None:
-            return
+        if packet is not None:
+            self._start(packet)
+
+    def _start(self, packet: Packet) -> None:
+        """Begin serializing ``packet``: the one place a link goes busy."""
         self._busy = True
-        tx_time = transmission_time_ns(packet.size, self.rate_bps)
-        self.sim.schedule(tx_time, self._tx_done, packet)
+        size = packet.size
+        tx_ns = self._tx_ns.get(size)
+        if tx_ns is None:
+            tx_ns = self._tx_ns[size] = transmission_time_ns(size, self.rate_bps)
+        self.sim.schedule(tx_ns, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         self._busy = False
         self.tx_packets += 1
         self.tx_bytes += packet.size
-        packet.hop(self.name)
+        packet.path.append(self.name)
         if self.tracer is not None:
             self.tracer.record("tx", self, packet)
         if self.on_tx_done is not None:
             self.on_tx_done(packet)
         self.sim.schedule(self.prop_delay_ns, self._deliver, packet)
-        self._try_transmit()
+        if self.queue._packets:
+            self._try_transmit()
 
     def _deliver(self, packet: Packet) -> None:
-        fault = self.injector.fault_on(self.name) if self.injector else None
+        fault = self._faults.get(self.name)
         if fault is not None and fault.drops_on(self, packet, self.sim.now, self.rng):
             self.faulted_packets += 1
             self.faulted_bytes += packet.size

@@ -9,6 +9,8 @@ schedulers and FlowPulse monitors operate on.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..topology.graph import (
@@ -49,6 +51,12 @@ class Network:
     known_disabled:
         Pre-existing faults: link names removed from routing *and*
         physically disconnected.
+    queue_capacity:
+        Egress buffer of every switch port, in bytes (``None``:
+        unbounded).  A host's send queue lives in host memory and is
+        never bounded by it: a packet the NIC refused would never reach
+        the wire, where its retransmission timer starts, and so would
+        never be resent.
     enable_pfc:
         Attach PFC controllers to fabric links (needs finite
         ``queue_capacity`` to ever trigger).
@@ -128,11 +136,12 @@ class Network:
                 spine.attach_downlink(leaf.leaf, self.links[down_name])
                 leaf.register_spine_ingress(spine.spine, down_name)
 
-        # Host links.
+        # Host links.  All transports number packets from one counter.
+        packet_ids = itertools.count()
         for host in self.hosts:
             leaf = self.leaves[spec.leaf_of_host(host.index)]
             up_name = host_up_link(host.index)
-            self._add_link(up_name, leaf, queue_capacity, rate=spec.host_rate_bps)
+            self._add_link(up_name, leaf, None, rate=spec.host_rate_bps)
             host.attach_uplink(self.links[up_name])
             down_name = host_down_link(host.index)
             self._add_link(down_name, host, queue_capacity, rate=spec.host_rate_bps)
@@ -147,6 +156,7 @@ class Network:
                     giveup=giveup,
                     telemetry=telemetry,
                     congestion=congestion,
+                    packet_ids=packet_ids,
                 )
             )
 

@@ -61,10 +61,13 @@ class FlowTag:
 ACK_SIZE = 64
 
 
+#: Ids of packets built without one (tests, examples).  A network
+#: numbers its own packets from a counter its transports share, so a
+#: run's ids do not depend on what else the process simulated before.
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated packet.
 
@@ -86,7 +89,7 @@ class Packet:
     #: ECN congestion-experienced mark, set by a queue above its marking
     #: threshold; echoed back to the sender in the ACK.
     ecn: bool = False
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_packet_ids.__next__)
     path: list[str] = field(default_factory=list)
 
     def hop(self, link_name: str) -> None:
@@ -97,11 +100,13 @@ class Packet:
     def is_data(self) -> bool:
         return self.kind is PacketKind.DATA
 
-    def make_ack(self) -> "Packet":
+    def make_ack(self, pid: int | None = None) -> "Packet":
         """Build the acknowledgement for this data packet.
 
         The ACK echoes the data packet's ECN mark (the congestion
-        notification of :mod:`repro.simnet.congestion`).
+        notification of :mod:`repro.simnet.congestion`).  ``pid`` is
+        the ACK's id; without one it is drawn like a directly built
+        packet's.
         """
         return Packet(
             src_host=self.dst_host,
@@ -113,6 +118,7 @@ class Packet:
             msg_id=self.msg_id,
             seq=self.seq,
             ecn=self.ecn,
+            pid=next(_packet_ids) if pid is None else pid,
         )
 
     def flow_key(self) -> tuple:

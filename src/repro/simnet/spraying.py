@@ -113,6 +113,12 @@ class EcmpHash(SprayPolicy):
         return candidates[digest % len(candidates)]
 
 
+#: Candidate lists :class:`RoundRobinSpray` remembers before starting
+#: over: switches reuse one list per spray set, but a caller that builds
+#: a fresh list per packet must not grow the memo without bound.
+_ROTATION_KEYS_KEPT = 4096
+
+
 class RoundRobinSpray(SprayPolicy):
     """Deterministic round-robin over valid uplinks, per destination.
 
@@ -122,17 +128,28 @@ class RoundRobinSpray(SprayPolicy):
     periodic interleaving would systematically skew the split.  The most
     even split possible; useful in tests as a zero-noise reference for
     temporal symmetry.
+
+    A candidate set is named by its links' sorted ids, computed once per
+    candidate list (which callers must not mutate) and remembered with
+    the list itself, so its ``id`` cannot be reused by another list.
     """
 
     name = "round_robin"
 
     def __init__(self) -> None:
         self._next: dict[tuple, int] = {}
+        self._link_ids: dict[int, tuple[list[Link], tuple[int, ...]]] = {}
 
     def choose(
         self, candidates: list[Link], packet: Packet, rng: np.random.Generator
     ) -> Link:
-        key = (tuple(sorted(id(link) for link in candidates)), packet.dst_host)
+        entry = self._link_ids.get(id(candidates))
+        if entry is None:
+            if len(self._link_ids) >= _ROTATION_KEYS_KEPT:
+                self._link_ids.clear()
+            entry = (candidates, tuple(sorted(id(link) for link in candidates)))
+            self._link_ids[id(candidates)] = entry
+        key = (entry[1], packet.dst_host)
         idx = self._next.get(key, 0)
         self._next[key] = (idx + 1) % len(candidates)
         return candidates[idx % len(candidates)]

@@ -40,6 +40,7 @@ class LeafSwitch(Node):
         self.leaf = leaf
         self.name = f"leaf{leaf}"
         self.control = control
+        self._leaf_of_host = control.spec.host_leaves
         self.policy = policy
         self.rng = rng
         self.uplinks: dict[int, Link] = {}
@@ -78,14 +79,14 @@ class LeafSwitch(Node):
         spine = self._spine_of_link.get(link.name)
         if spine is not None:
             self.counters.count_rx(spine, packet.size)
-            src_leaf = self.control.spec.leaf_of_host(packet.src_host)
+            src_leaf = self._leaf_of_host[packet.src_host]
             now = link.sim.now
             for collector in self.collectors:
                 collector.observe(packet, spine, src_leaf, now)
         self._forward(packet)
 
     def _forward(self, packet: Packet) -> None:
-        dst_leaf = self.control.spec.leaf_of_host(packet.dst_host)
+        dst_leaf = self._leaf_of_host[packet.dst_host]
         if dst_leaf == self.leaf:
             downlink = self.downlinks.get(packet.dst_host)
             if downlink is None:
@@ -115,17 +116,31 @@ class SpineSwitch(Node):
         self.spine = spine
         self.name = f"spine{spine}"
         self.control = control
+        self._leaf_of_host = control.spec.host_leaves
         self.downlinks: dict[int, Link] = {}
         self.counters = PortCounters()
         self.misrouted_packets = 0
+        #: ``(known_disabled, leaves whose downlink from this spine it
+        #: holds)``: the control plane only ever rebinds that immutable
+        #: set, so the leaves are recomputed only when its identity moves.
+        self._down_memo: tuple = (None, frozenset())
 
     def attach_downlink(self, leaf: int, link: Link) -> None:
         self.downlinks[leaf] = link
 
+    def _refresh_down_memo(self) -> tuple:
+        control = self.control
+        leaves = range(control.spec.n_leaves)
+        self._down_memo = (
+            control.known_disabled,
+            frozenset(leaf for leaf in leaves if not control.down_ok(self.spine, leaf)),
+        )
+        return self._down_memo
+
     def receive(self, packet: Packet, link: Link) -> None:
-        src_leaf = self.control.spec.leaf_of_host(packet.src_host)
+        src_leaf = self._leaf_of_host[packet.src_host]
         self.counters.count_rx(src_leaf, packet.size)
-        dst_leaf = self.control.spec.leaf_of_host(packet.dst_host)
+        dst_leaf = self._leaf_of_host[packet.dst_host]
         downlink = self.downlinks.get(dst_leaf)
         if downlink is None:
             self.misrouted_packets += 1
@@ -133,7 +148,10 @@ class SpineSwitch(Node):
         # A leaf should never spray onto a spine whose downstream link to
         # the destination is known-down; if it happens the packet is
         # black-holed, which the misroute counter makes visible in tests.
-        if not self.control.down_ok(self.spine, dst_leaf):
+        memo = self._down_memo
+        if memo[0] is not self.control.known_disabled:
+            memo = self._refresh_down_memo()
+        if dst_leaf in memo[1]:
             self.misrouted_packets += 1
             return
         self.counters.count_tx(dst_leaf, packet.size)

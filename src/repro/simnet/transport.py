@@ -5,7 +5,8 @@ out-of-order writes, no congestion control, and loss recovery through a
 retransmission timeout (5 us in the paper).  Packets of one message may
 arrive in any order and along any spine; the receiver tracks a sequence
 set, acknowledges every packet, and considers the message complete once
-every sequence number has landed.
+every sequence number has landed (the set is then released: any later
+packet of the message is a duplicate).
 
 Retransmitted packets re-enter the fabric and are sprayed afresh — the
 mechanism behind FlowPulse's observed-volume signature: a drop at rate
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .congestion import CongestionConfig, CongestionWindow
 from .engine import EventHandle, Simulator
@@ -98,7 +99,7 @@ class _TxMessage:
 
 @dataclass
 class _RxMessage:
-    """Receiver-side reassembly state for one message."""
+    """Receiver-side reassembly state for one undelivered message."""
 
     src_host: int
     msg_id: int
@@ -106,12 +107,16 @@ class _RxMessage:
     tag: FlowTag | None
     seen: set[int] = field(default_factory=set)
     received_bytes: int = 0
-    duplicate_packets: int = 0
-    delivered: bool = False
 
     @property
     def complete(self) -> bool:
         return len(self.seen) >= self.n_packets
+
+
+#: What a message's receive state collapses to once it is delivered:
+#: every sequence number has landed, so any later packet of the message
+#: is a duplicate by construction and no per-packet state is kept.
+DELIVERED = "delivered"
 
 
 class ReliableTransport:
@@ -134,6 +139,8 @@ class ReliableTransport:
         giveup: GiveupPolicy | None = None,
         telemetry=None,
         congestion: CongestionConfig | None = None,
+        *,
+        packet_ids: Iterator[int],
     ) -> None:
         if mtu <= 0:
             raise TransportError("mtu must be positive")
@@ -158,8 +165,12 @@ class ReliableTransport:
         #: key (ECMP, flowlets) is a pure function of the run, not of
         #: how many transports the process created before this one.
         self._msg_ids = itertools.count(1)
+        #: Packet ids, for traces and telemetry: a network hands all its
+        #: transports one counter, so ids are unique within a run and do
+        #: not depend on what the process simulated before it.
+        self._next_pid = packet_ids.__next__
         self._tx: dict[int, _TxMessage] = {}
-        self._rx: dict[tuple[int, int], _RxMessage] = {}
+        self._rx: dict[tuple[int, int], _RxMessage | str] = {}
         # Aggregate statistics.
         self.sent_messages = 0
         self.completed_messages = 0
@@ -236,6 +247,7 @@ class ReliableTransport:
             seq=seq,
             msg_packets=message.n_packets,
             retransmission=state.retransmissions,
+            pid=self._next_pid(),
         )
         self.host.uplink.enqueue(packet)
 
@@ -416,15 +428,14 @@ class ReliableTransport:
                 tag=packet.tag,
             )
             self._rx[key] = rx
-        if packet.seq in rx.seen:
-            rx.duplicate_packets += 1
+        if rx is DELIVERED or packet.seq in rx.seen:
             self.duplicate_packets += 1
         else:
             rx.seen.add(packet.seq)
             rx.received_bytes += packet.size
-        self.host.uplink.enqueue(packet.make_ack())
-        if rx.complete and not rx.delivered:
-            rx.delivered = True
+        self.host.uplink.enqueue(packet.make_ack(self._next_pid()))
+        if rx is not DELIVERED and rx.complete:
+            self._rx[key] = DELIVERED
             self.host.deliver_message(
                 src_host=rx.src_host,
                 msg_id=rx.msg_id,

@@ -18,6 +18,8 @@ this network unchanged.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..simnet.counters import CollectiveCollector, PortCounters
@@ -279,7 +281,8 @@ class ThreeLevelNetwork:
                 core_switch.attach_downlink(pod, self.links[down_name])
                 spine_switch.register_core_ingress(core, down_name)
 
-        # Host links + transports.
+        # Host links + transports (numbering packets from one counter).
+        packet_ids = itertools.count()
         for host in self.hosts:
             pod, leaf = spec.leaf_of_host(host.index)
             leaf_switch = self.leaves[(pod, leaf)]
@@ -290,7 +293,9 @@ class ThreeLevelNetwork:
             self._add_link(down_name, host)
             leaf_switch.attach_downlink(host.index, self.links[down_name])
             host.attach_transport(
-                ReliableTransport(self.sim, host, mtu=mtu, rto_ns=rto_ns)
+                ReliableTransport(
+                    self.sim, host, mtu=mtu, rto_ns=rto_ns, packet_ids=packet_ids
+                )
             )
 
         for name in self.control.known_disabled:

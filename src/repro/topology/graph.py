@@ -14,6 +14,7 @@ silent faults, by definition, are absent from this state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from ..units import GBPS
@@ -61,6 +62,17 @@ def parse_fabric_link(name: str) -> tuple[str, int, int]:
         return direction, leaf, spine
     except (ValueError, IndexError) as exc:
         raise TopologyError(f"not a fabric link name: {name!r}") from exc
+
+
+class _HostLeaves(dict):
+    """``host -> leaf`` for every host of a fabric; any other key (a
+    negative index included) raises :class:`TopologyError` as
+    :meth:`ClosSpec.leaf_of_host` does."""
+
+    __slots__ = ()
+
+    def __missing__(self, host):
+        raise TopologyError(f"host {host} out of range (n={len(self)})")
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,13 @@ class ClosSpec:
         if not 0 <= host < self.n_leaves * per_leaf:
             raise TopologyError(f"host {host} out of range (n={self.n_hosts})")
         return host // per_leaf
+
+    @cached_property
+    def host_leaves(self) -> dict[int, int]:
+        """:meth:`leaf_of_host` as one table per spec, for the per-packet
+        lookups of the packet simulator's switches."""
+        per_leaf = self.hosts_per_leaf
+        return _HostLeaves({host: host // per_leaf for host in range(self.n_hosts)})
 
     def hosts_of_leaf(self, leaf: int) -> range:
         """Hosts attached to ``leaf``."""

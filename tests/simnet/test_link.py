@@ -30,7 +30,9 @@ class Sink(Node):
         self.received.append((packet, link.sim.now))
 
 
-def make_link(rate_bps=8 * units.GBPS, prop=100, injector=None, capacity=None, tracer=None):
+def make_link(
+    rate_bps=8 * units.GBPS, prop=100, injector=None, capacity=None, tracer=None, ecn=None
+):
     sim = Simulator()
     sink = Sink()
     rng = np.random.Generator(np.random.PCG64(0))
@@ -44,6 +46,7 @@ def make_link(rate_bps=8 * units.GBPS, prop=100, injector=None, capacity=None, t
         injector=injector,
         queue_capacity=capacity,
         tracer=tracer,
+        ecn_threshold_bytes=ecn,
     )
     return sim, link, sink
 
@@ -207,3 +210,50 @@ def test_negative_propagation_rejected():
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError):
         Link(sim, "bad", Sink(), units.GBPS, -5, rng)
+
+
+# ----------------------------------------------------------------------
+# The idle bypass: a packet the empty queue would hand straight back
+# starts at once — unless the push would refuse, mark or report it.
+# ----------------------------------------------------------------------
+def test_idle_link_starts_a_packet_without_queueing_it():
+    sim, link, sink = make_link(prop=0)
+    assert link.enqueue(_pkt(size=1000))
+    assert link.busy and len(link.queue) == 0
+    assert link.queue.peak_bytes == 1000  # as if it had been pushed
+    sim.run()
+    assert [t for _, t in sink.received] == [1000]
+
+
+@pytest.mark.parametrize("capacity, accepted", [(999, False), (1000, True)])
+def test_idle_link_still_refuses_what_its_queue_cannot_hold(capacity, accepted):
+    sim, link, sink = make_link(capacity=capacity)
+    assert link.enqueue(_pkt(size=1000)) is accepted
+    assert link.overflow_packets == (0 if accepted else 1)
+    sim.run()
+    assert len(sink.received) == int(accepted)
+
+
+@pytest.mark.parametrize("threshold, marked", [(1000, True), (1001, False)])
+def test_idle_link_marks_a_packet_at_the_ecn_threshold(threshold, marked):
+    sim, link, sink = make_link(ecn=threshold)
+    packet = _pkt(size=1000)
+    link.enqueue(packet)
+    assert packet.ecn is marked
+    assert link.ecn_marked_packets == int(marked)
+
+
+def test_idle_link_reports_backlog_to_pfc():
+    sim, link, sink = make_link()
+    backlogs = []
+    link.queue.on_backlog_change = backlogs.append
+    link.enqueue(_pkt(size=1000))
+    assert backlogs == [1000, 0]  # pushed, then popped onto the wire
+
+
+def test_serialization_time_follows_packet_size():
+    sim, link, sink = make_link(rate_bps=8 * units.GBPS, prop=0)
+    for size in (1000, 64, 1000, 300):
+        link.enqueue(_pkt(size=size))
+    sim.run()
+    assert [t for _, t in sink.received] == [1000, 1064, 2064, 2364]

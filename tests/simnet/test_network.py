@@ -156,3 +156,25 @@ def test_spraying_excludes_known_fault_until_heal():
     net.host(0).send(1, 50_000, tag=FlowTag(1, 1))
     net.run()
     assert net.link(link).tx_packets > 0
+
+
+@pytest.mark.parametrize("enable_pfc", [False, True])
+def test_small_switch_buffers_do_not_bound_the_nic_queue(enable_pfc):
+    # A ring step hands each NIC 30 kB at once, far more than an 8 kB
+    # switch buffer.  The NIC queue lives in host memory: were it
+    # bounded, the refused packets would never reach the wire, where
+    # their retransmission timers start, and the collective would stall.
+    from repro.collectives import (
+        StagedCollectiveRunner,
+        locality_optimized_ring,
+        ring_reduce_scatter_stages,
+    )
+
+    spec = ClosSpec(4, 2)
+    net = Network(spec, seed=5, mtu=512, queue_capacity=8192, enable_pfc=enable_pfc)
+    stages = ring_reduce_scatter_stages(locality_optimized_ring(spec.n_hosts), 120_000)
+    StagedCollectiveRunner(net, 1, stages, iterations=2).run()
+    assert all(net.host(h).transport.inflight_messages == 0 for h in range(4))
+    assert all(link.overflow_packets == 0 for link in net.links.values())
+    assert net.link(host_up_link(0)).queue.peak_bytes > 8192
+    assert net.link(up_link(0, 0)).queue.capacity_bytes == 8192

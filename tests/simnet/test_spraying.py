@@ -130,6 +130,26 @@ def test_round_robin_perfectly_even(srng):
     assert set(counts.values()) == {100}
 
 
+def test_round_robin_rotation_belongs_to_the_link_set_not_the_list(srng):
+    # Switches rebuild a candidate list after every control-plane change;
+    # an equal set of links must continue the same rotation.
+    links = make_links(3)
+    policy = RoundRobinSpray()
+    names = [policy.choose(list(links), _pkt(), srng).name for _ in range(4)]
+    names += [policy.choose(links[::-1], _pkt(), srng).name for _ in range(2)]
+    assert names == ["l0", "l1", "l2", "l0", "l1", "l0"]  # slots 1, 2 of l2,l1,l0
+
+
+def test_round_robin_memo_stays_bounded_under_fresh_lists(srng):
+    from repro.simnet.spraying import _ROTATION_KEYS_KEPT
+
+    links = make_links(2)
+    policy = RoundRobinSpray()
+    for _ in range(_ROTATION_KEYS_KEPT + 10):
+        policy.choose([links[0], links[1]], _pkt(), srng)
+    assert len(policy._link_ids) <= _ROTATION_KEYS_KEPT
+
+
 def test_flowlet_sticks_within_gap(srng):
     from repro.simnet import FlowletSpray
 

@@ -141,6 +141,28 @@ def test_misroute_counter_when_stray_packet_hits_disabled_downlink():
     assert net.spine(0).misrouted_packets == 0
 
 
+def test_spine_black_holes_packets_for_a_known_down_link_until_enabled():
+    # The spine's down-link check follows every rebind of known_disabled.
+    net = make_net()
+    spine, ingress = net.spine(0), net.link(up_link(0, 0))
+    downlink = net.link(down_link(0, 3))
+
+    def send():
+        spine.receive(Packet(src_host=0, dst_host=3, size=100), ingress)
+
+    send()
+    assert (spine.misrouted_packets, downlink.queue.peak_bytes) == (0, 100)
+    net.control.disable(down_link(0, 3))
+    send()
+    net.control.disable(down_link(1, 2))
+    send()
+    assert spine.misrouted_packets == 2
+    net.control.enable(down_link(0, 3))
+    send()
+    assert spine.misrouted_packets == 2
+    assert spine.counters.tx_bytes[3] == 200
+
+
 def test_unknown_link_fault_injection_rejected():
     net = make_net()
     with pytest.raises(KeyError):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.simnet import Network, PacketKind, Tracer
+from repro.simnet import DropFault, Network, PacketKind, Tracer
 from repro.topology import ClosSpec
 
 
@@ -70,3 +70,22 @@ def test_event_str_is_informative():
     tracer = run_traced()
     text = str(tracer.events[0])
     assert "hostup:" in text or "up:" in text
+
+
+def test_same_seed_runs_trace_identically_pids_included():
+    # Packet ids are numbered per network, so a run's trace (and the
+    # forensic events keyed by pid) does not depend on what the process
+    # simulated before it.
+    def trace():
+        tracer = Tracer()
+        net = Network(ClosSpec(n_leaves=2, n_spines=2), seed=4, mtu=1000, tracer=tracer)
+        net.inject_fault("up:L0->S1", DropFault(0.3))
+        net.host(1).on_message(lambda *a: None)
+        net.host(0).send(1, 20_000)
+        net.run()
+        return list(tracer.events)
+
+    first, second = trace(), trace()
+    assert any(e.event == "drop" for e in first)
+    assert first == second
+    assert min(e.pid for e in first) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simnet import DropFault, FlowTag, Network, Priority, TransportError
+from repro.simnet.transport import DELIVERED
 from repro.topology import ClosSpec
 
 
@@ -90,6 +91,29 @@ def test_duplicates_from_lost_acks_are_deduped():
     net.run()
     assert done == [30_000]  # delivered exactly once despite duplicates
     assert net.host(1).transport.duplicate_packets > 0
+
+
+def test_delivered_messages_keep_no_sequence_state():
+    # ACKs die on the way back, so the sender resends packets of
+    # messages the receiver already delivered.  Those duplicates are
+    # ACKed and counted without the message's sequence set, which is
+    # released on delivery: receive state must not grow per packet.
+    net = make_net(mtu=1000)
+    net.inject_fault("up:L1->S0", DropFault(0.4))
+    net.inject_fault("up:L1->S1", DropFault(0.4))
+    receiver = net.host(1).transport
+    delivered = []
+    net.host(1).on_message(
+        lambda src, mid, tag, size: delivered.append((size, receiver.duplicate_packets))
+    )
+    for size in (30_000, 20_000, 7_000):
+        net.host(0).send(1, size)
+    net.run()
+    # Every duplicate (the count is pinned) arrived after its delivery.
+    assert delivered == [(30_000, 0), (20_000, 0), (7_000, 0)]
+    assert receiver.duplicate_packets == 33
+    assert net.host(0).transport.inflight_messages == 0  # all re-ACKed
+    assert list(receiver._rx.values()) == [DELIVERED] * 3
 
 
 def test_message_size_must_be_positive():

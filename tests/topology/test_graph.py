@@ -66,6 +66,16 @@ def test_host_out_of_range():
         spec.hosts_of_leaf(2)
 
 
+def test_host_leaves_table_matches_leaf_of_host():
+    spec = ClosSpec(n_leaves=4, n_spines=2, hosts_per_leaf=3)
+    table = spec.host_leaves
+    assert table is spec.host_leaves  # one table per spec
+    assert [table[h] for h in range(12)] == [spec.leaf_of_host(h) for h in range(12)]
+    for host in (-1, -12, 12):  # a negative index must not wrap around
+        with pytest.raises(TopologyError, match="out of range"):
+            table[host]
+
+
 def test_non_blocking_condition():
     assert ClosSpec(n_leaves=4, n_spines=4, hosts_per_leaf=4).non_blocking
     assert not ClosSpec(n_leaves=4, n_spines=2, hosts_per_leaf=4).non_blocking
