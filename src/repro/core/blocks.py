@@ -83,7 +83,7 @@ def pack_array(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.astype(RAW_DTYPE, copy=False), np.zeros(len(values), dtype=FLAG_DTYPE)
 
 
-def _unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
+def unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
     """The raw/flag columns back as Python values, original types intact."""
     values = raw.tolist()
     if flags.any():
@@ -93,7 +93,7 @@ def _unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationSegment:
     """One collective iteration of one job, in dense column form.
 
@@ -103,7 +103,8 @@ class IterationSegment:
     port_offsets[j + 1]]`` and the matching raw/flag slices.  Keys are
     sorted within each record, matching the v1 wire encoder, so a
     segment built from records and a segment decoded off the wire are
-    indistinguishable.
+    indistinguishable.  Two segments are ``==`` when their tags are and
+    every column holds the same values.
     """
 
     job_id: int
@@ -139,6 +140,16 @@ class IterationSegment:
     @property
     def tag(self) -> FlowTag:
         return FlowTag(self.job_id, self.iteration, self.collective)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IterationSegment):
+            return NotImplemented
+        return self.tag == other.tag and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in SEGMENT_COLUMNS
+        )
+
+    __hash__ = None  # mutable caches and array columns: unhashable
 
     # ------------------------------------------------------------------
     @classmethod
@@ -224,14 +235,14 @@ class IterationSegment:
         ports, senders = slice(p[0], p[-1]), slice(s[0], s[-1])
         port_items = zip(
             self.port_keys[ports].tolist(),
-            _unpack_values(self.port_raw[ports], self.port_flags[ports]),
+            unpack_values(self.port_raw[ports], self.port_flags[ports]),
         )
         keys = self._sender_keys
         sender_items = zip(
             zip(self.sender_spines[senders].tolist(), self.sender_srcs[senders].tolist())
             if keys is None
             else keys[senders],
-            _unpack_values(self.sender_raw[senders], self.sender_flags[senders]),
+            unpack_values(self.sender_raw[senders], self.sender_flags[senders]),
         )
         return list(
             map(
@@ -288,6 +299,14 @@ class IterationSegment:
         else:
             values = self.port_raw.astype(np.float64)
         return values.reshape(self.n_records, len(pattern))
+
+
+#: The array columns of a segment, in field order.
+SEGMENT_COLUMNS = (
+    "leaves", "start_ns", "end_ns",
+    "port_offsets", "port_keys", "port_raw", "port_flags",
+    "sender_offsets", "sender_spines", "sender_srcs", "sender_raw", "sender_flags",
+)
 
 
 def segments_from_run(run_records) -> list[IterationSegment]:

@@ -1,10 +1,20 @@
-"""Versioned wire format for :class:`IterationRecord` batches.
+"""Versioned wire format for per-iteration measurement batches.
 
 The fleet service moves per-leaf iteration measurements between
 processes (and onto disk) as self-describing *units*, each declaring
 its format version so a stream can be decoded unit-by-unit without a
 file header and an old reader confronted with a newer payload fails
 with a typed :class:`UnsupportedVersionError` instead of a ``KeyError``.
+
+A batch is one collective iteration of one job: every leaf's port and
+sender volumes.  Its native shape is the columnar
+:class:`~repro.core.blocks.IterationSegment` the fast simulator emits
+and the shard workers score; :class:`RecordBatch` is the same batch as
+:class:`IterationRecord` dicts, for record-shaped producers and for
+export.  Each wire version has exactly one writer and it reads segment
+columns: :func:`encode_batch` takes a segment as it is and columnarizes
+a :class:`RecordBatch` once on entry (:func:`_columnarize`, where both
+versions' value checks live).
 
 Two wire versions exist, negotiated per unit:
 
@@ -13,10 +23,12 @@ line is a JSON array whose first elements are the magic, the version,
 and the kind:
 
 ``["fprec", 1, "b", job_id, n_records, iteration, collective, [...]]``
-    One :class:`RecordBatch` — every leaf's record for one collective
-    iteration of one job.  ``job_id`` and ``n_records`` sit at fixed
-    early positions so the ingest frontend can route a line with
-    :func:`peek_batch` (a string split) without a full JSON parse.
+    One batch — every leaf's ``[leaf, start_ns, end_ns, [[spine,
+    bytes], ...], [[spine, src, bytes], ...]]`` for one collective
+    iteration of one job, keys ascending.  ``job_id`` and ``n_records``
+    sit at fixed early positions so the ingest frontend can route a
+    line with :func:`peek_batch` (a string split) without a full JSON
+    parse.
 
 ``["fprec", 1, "j", {...}]``
     One :class:`JobConfig` — the monitored job's fabric/predictor
@@ -42,18 +54,24 @@ lines and v2 frames mix freely in one ``.fprec`` stream.
 
 A ``.fprec`` file is just these units concatenated (jobs conventionally
 first), which makes the wire format double as a record/replay format:
-any simnet or fastsim run can be captured with :func:`batches_from_run`
-+ :func:`write_fprec` and replayed through detection offline —
-:func:`iter_fprec` auto-detects the version of every unit it reads.
+a fastsim run's segments go to :func:`write_fprec` as they are, a
+simnet run's record lists through :func:`batches_from_run` first, and
+either replays through detection offline — :func:`iter_fprec`
+auto-detects the version of every unit it reads.
 
 Round-trips are exact in both versions: integers stay integers, finite
 floats stay floats (v1 via ``repr`` round-trip, v2 via raw IEEE-754
 bits), dict keys and tuple keys are rebuilt with their original types,
 and record order inside a batch is preserved — the golden-parity
-guarantee of the fleet service rests on this.  Non-finite floats are
-rejected on both encode and decode, and malformed input of any shape —
-truncated frames, wrong length prefixes, trailing garbage, bad magic —
-surfaces as :class:`CodecError`, never ``struct.error``/``IndexError``.
+guarantee of the fleet service rests on this.  Both versions accept
+the same batches, and only batches their decoders read back: ids,
+leaves, timestamps and keys are integers (never ``bool`` or ``float``),
+counters integers or finite floats, and every integer a column holds
+fits int64 (a v2 frame further holds the ids in u64 slots).  Non-finite
+floats are rejected on both encode and decode, and malformed input of
+any shape — truncated frames, wrong length prefixes, trailing garbage,
+bad magic — surfaces as :class:`CodecError`, never
+``struct.error``/``IndexError``.
 """
 
 from __future__ import annotations
@@ -80,6 +98,7 @@ from ..core.blocks import (
     VALUE_FLOAT,
     BlockError,
     IterationSegment,
+    unpack_values,
 )
 from ..simnet.counters import IterationRecord
 from ..simnet.packet import FlowTag
@@ -109,6 +128,7 @@ _BATCH_FIXED = struct.Struct("<QQIH")
 _KIND_BATCH = ord("b")
 _KIND_JOB = ord("j")
 _U64_MAX = 2**64 - 1
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class CodecError(RuntimeError):
@@ -124,7 +144,8 @@ class UnsupportedVersionError(CodecError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RecordBatch:
-    """All leaves' records for one collective iteration of one job."""
+    """All leaves' records for one collective iteration of one job: the
+    record-shaped twin of an :class:`IterationSegment`."""
 
     job_id: int
     iteration: int
@@ -212,18 +233,34 @@ def _reject_constant(name: str):
 
 
 def _int_key(value, where: str) -> int:
-    if type(value) is not int:
-        raise CodecError(f"expected integer in {where}, got {value!r}")
-    return value
+    """An ``int`` (or ``np.integer``, as a plain ``int``); never a
+    ``bool`` or an integral ``float``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise CodecError(f"expected integer in {where}, got {value!r}")
 
 
 def _counter(value, where: str):
-    """A decoded counter is exactly ``int`` or a finite ``float``:
-    ``null``, strings, booleans and nested arrays would otherwise reach
-    the detector's arithmetic and fail (or silently score) there."""
-    if type(value) is int or (type(value) is float and math.isfinite(value)):
+    """A counter is an ``int`` (or ``np.integer``) or a finite
+    ``float``: ``null``, strings, booleans and nested arrays would
+    otherwise reach the detector's arithmetic and fail (or silently
+    score) there."""
+    if type(value) is int:
         return value
+    if isinstance(value, float):
+        return _check_finite(value, where)
+    if isinstance(value, np.integer):
+        return int(value)
     raise CodecError(f"expected a finite number in {where}, got {value!r}")
+
+
+def _int64(value, where: str):
+    """``value`` unchanged, unless it is an ``int`` no int64 column holds."""
+    if type(value) is int and not _I64_MIN <= value <= _I64_MAX:
+        raise CodecError(f"integer {value} in {where} out of 64-bit range")
+    return value
 
 
 def _require_version(version: int) -> None:
@@ -236,30 +273,59 @@ def _require_version(version: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# v1 record encoding (JSON lines)
+# Records to columns (the one entry point both writers share)
 # ----------------------------------------------------------------------
-def _encode_record(record: IterationRecord) -> list:
-    port_pairs = [
-        [_int_key(spine, "port_bytes key"), _check_finite(size, "port_bytes")]
-        for spine, size in sorted(record.port_bytes.items())
-    ]
-    sender_triples = [
-        [
-            _int_key(spine, "sender_bytes key"),
-            _int_key(src, "sender_bytes key"),
-            _check_finite(size, "sender_bytes"),
-        ]
-        for (spine, src), size in sorted(record.sender_bytes.items())
-    ]
-    return [
-        _int_key(record.leaf, "leaf"),
-        _int_key(record.start_ns, "start_ns"),
-        _int_key(record.end_ns, "end_ns"),
-        port_pairs,
-        sender_triples,
-    ]
+def _columnarize(batch: RecordBatch) -> IterationSegment:
+    """A :class:`RecordBatch` as the segment both writers read.
+
+    Every value is checked here, once, for both versions — the checks
+    the decoders make on the way back in.  Without them a column
+    silently coerces ``True`` or ``1.0`` to ``1`` and a v1 line carries
+    ``true``, ``2**63`` or a bare ``TypeError`` from ``json.dumps``.
+    """
+    for record in batch.records:
+        for value, where in (
+            (record.leaf, "leaf"), (record.start_ns, "start_ns"), (record.end_ns, "end_ns")
+        ):
+            _int64(_int_key(value, where), where)
+        for spine, size in record.port_bytes.items():
+            _int64(_int_key(spine, "port_bytes key"), "port_bytes key")
+            _int64(_counter(size, "port_bytes"), "port_bytes")
+        for key, size in record.sender_bytes.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise CodecError(f"sender_bytes key {key!r} is not a (spine, src) pair")
+            for part in key:
+                _int64(_int_key(part, "sender_bytes key"), "sender_bytes key")
+            _int64(_counter(size, "sender_bytes"), "sender_bytes")
+    try:
+        return IterationSegment.from_records(list(batch.records))
+    except BlockError as exc:
+        raise CodecError(str(exc)) from exc
 
 
+def _checked_tag(segment: IterationSegment) -> FlowTag:
+    """What both writers check of a segment before writing it: integer
+    ids (returned as plain ``int``), a string collective and finite
+    float values.  Integer columns are int64 by construction."""
+    if not isinstance(segment.collective, str):
+        raise CodecError(f"expected a string collective, got {segment.collective!r}")
+    for raw, flags, where in (
+        (segment.port_raw, segment.port_flags, "port_bytes"),
+        (segment.sender_raw, segment.sender_flags, "sender_bytes"),
+    ):
+        mask = flags == VALUE_FLOAT
+        if mask.any() and not np.isfinite(raw.view(FLOAT_DTYPE)[mask]).all():
+            raise CodecError(f"non-finite value in {where}")
+    return FlowTag(
+        _int_key(segment.job_id, "job_id"),
+        _int_key(segment.iteration, "iteration"),
+        segment.collective,
+    )
+
+
+# ----------------------------------------------------------------------
+# v1 record decoding (JSON lines)
+# ----------------------------------------------------------------------
 def _decode_record(entry, tag: FlowTag) -> IterationRecord:
     try:
         leaf, start_ns, end_ns, port_pairs, sender_triples = entry
@@ -294,28 +360,43 @@ def _decode_record(entry, tag: FlowTag) -> IterationRecord:
 # ----------------------------------------------------------------------
 # Line/frame encoding
 # ----------------------------------------------------------------------
-def encode_batch(batch: RecordBatch, version: int = FPREC_VERSION) -> str | bytes:
-    """One :class:`RecordBatch` as one wire unit.
+def encode_batch(
+    batch: IterationSegment | RecordBatch, version: int = FPREC_VERSION
+) -> str | bytes:
+    """One batch — a segment as it is, a :class:`RecordBatch` after one
+    :func:`_columnarize` — as one wire unit.
 
     Version 1 returns a JSON line (``str``, no trailing newline);
     version 2 returns a complete binary frame (``bytes``).
     """
     _require_version(version)
+    segment = batch if isinstance(batch, IterationSegment) else _columnarize(batch)
     if version == FPREC_VERSION_BINARY:
-        try:
-            segment = IterationSegment.from_records(list(batch.records))
-        except BlockError as exc:
-            raise CodecError(f"batch not representable as a v2 frame: {exc}") from exc
         return encode_segment(segment)
+    return _segment_line(segment)
+
+
+def _segment_line(segment: IterationSegment) -> str:
+    """The v1 writer: one walk over the segment's columns into the
+    line's nested lists, then one ``json.dumps``."""
+    tag = _checked_tag(segment)
+    port_values = unpack_values(segment.port_raw, segment.port_flags)
+    sender_values = unpack_values(segment.sender_raw, segment.sender_flags)
+    ports = list(map(list, zip(segment.port_keys.tolist(), port_values)))
+    senders = list(
+        map(list, zip(segment.sender_spines.tolist(), segment.sender_srcs.tolist(), sender_values))
+    )
+    p, s = segment.port_offsets.tolist(), segment.sender_offsets.tolist()
+    entries = [
+        [leaf, start_ns, end_ns, ports[p0:p1], senders[s0:s1]]
+        for leaf, start_ns, end_ns, p0, p1, s0, s1 in zip(
+            segment.leaves.tolist(), segment.start_ns.tolist(), segment.end_ns.tolist(),
+            p, p[1:], s, s[1:],
+        )
+    ]
     payload = [
-        FPREC_MAGIC,
-        FPREC_VERSION,
-        "b",
-        batch.job_id,
-        batch.n_records,
-        batch.iteration,
-        batch.collective,
-        [_encode_record(record) for record in batch.records],
+        FPREC_MAGIC, FPREC_VERSION, "b",
+        tag.job_id, segment.n_records, tag.iteration, tag.collective, entries,
     ]
     return json.dumps(payload, separators=(",", ":"), allow_nan=False)
 
@@ -348,28 +429,23 @@ def encode_job(job: JobConfig, version: int = FPREC_VERSION) -> str | bytes:
 
 
 def encode_segment(segment: IterationSegment) -> bytes:
-    """One columnar :class:`~repro.core.blocks.IterationSegment` as one
-    v2 binary frame (the zero-materialization encode path)."""
-    if not 0 <= segment.job_id <= _U64_MAX:
-        raise CodecError(f"job_id {segment.job_id} out of u64 range for v2")
-    if not 0 <= segment.iteration <= _U64_MAX:
-        raise CodecError(f"iteration {segment.iteration} out of u64 range for v2")
-    collective = segment.collective.encode()
+    """The v2 writer: one columnar
+    :class:`~repro.core.blocks.IterationSegment` as one binary frame,
+    its columns copied out as they are."""
+    tag = _checked_tag(segment)
+    if not 0 <= tag.job_id <= _U64_MAX:
+        raise CodecError(f"job_id {tag.job_id} out of u64 range for v2")
+    if not 0 <= tag.iteration <= _U64_MAX:
+        raise CodecError(f"iteration {tag.iteration} out of u64 range for v2")
+    collective = tag.collective.encode()
     if len(collective) > 0xFFFF:
         raise CodecError("collective name too long for a v2 frame")
-    for raw, flags, where in (
-        (segment.port_raw, segment.port_flags, "port_bytes"),
-        (segment.sender_raw, segment.sender_flags, "sender_bytes"),
-    ):
-        mask = flags == VALUE_FLOAT
-        if mask.any() and not np.isfinite(raw.view(FLOAT_DTYPE)[mask]).all():
-            raise CodecError(f"non-finite value in {where}")
     port_counts = np.asarray(np.diff(segment.port_offsets), dtype=COUNT_DTYPE)
     sender_counts = np.asarray(np.diff(segment.sender_offsets), dtype=COUNT_DTYPE)
     payload = b"".join(
         (
             _BATCH_FIXED.pack(
-                segment.job_id, segment.iteration, segment.n_records, len(collective)
+                tag.job_id, tag.iteration, segment.n_records, len(collective)
             ),
             collective,
             port_counts.tobytes(),
@@ -945,9 +1021,9 @@ class StreamDecoder:
 def batches_from_run(
     run_records: Iterable[Iterable[IterationRecord]],
 ) -> list[RecordBatch]:
-    """Capture a run (per-iteration record lists, as
-    :func:`repro.fastsim.model.run_iterations` or the simnet collectors
-    produce) as a batch sequence."""
+    """Capture a record-shaped run (per-iteration record lists, as the
+    simnet collectors produce) as a batch sequence; a fastsim run's
+    segments need no capture step."""
     return [RecordBatch.from_records(records) for records in run_records]
 
 
@@ -963,7 +1039,7 @@ def _stream_unit(encoded: str | bytes, text: bool) -> str | bytes:
 def write_fprec(
     target: str | pathlib.Path | IO,
     jobs: Iterable[JobConfig] = (),
-    batches: Iterable[RecordBatch] = (),
+    batches: Iterable[IterationSegment | RecordBatch] = (),
     version: int = FPREC_VERSION,
 ) -> int:
     """Write jobs then batches as a ``.fprec`` stream; returns the unit

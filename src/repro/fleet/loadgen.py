@@ -3,18 +3,19 @@
 Produces N concurrent jobs (a deterministic fraction of them carrying an
 injected silent fault), simulates each job's iterations with the same
 seeding discipline :func:`repro.analysis.experiments.run_trial` uses,
-and interleaves the resulting per-iteration record batches round-robin
-across jobs — the arrival pattern a shared monitoring service actually
-sees.  Workloads can be streamed straight into a
+and interleaves the resulting per-iteration segments round-robin across
+jobs — the arrival pattern a shared monitoring service actually sees.
+A batch is the simulator's own :class:`~repro.core.blocks.IterationSegment`,
+handed to the wire writers as it is: no record is built between the
+simulator and the wire.  Workloads can be streamed straight into a
 :class:`~repro.fleet.service.FleetService` or written to a ``.fprec``
 file (:func:`write_workload`) for later ``repro fleet replay``.
 
-Determinism: every job's fault placement, demand, and simulated records
+Determinism: every job's fault placement, demand, and simulated volumes
 are functions of ``(base_seed, job_id)`` only, so a workload can be
-regenerated bit-identically — and because each job's records come from
-the identical simulation a direct trial runs (``run_iterations`` is the
-records of the trial's ``run_segments``), fleet
-verdicts are directly comparable to single-job trial verdicts.
+regenerated bit-identically — and because each job's segments are the
+ones a direct trial's ``run_segments`` scores, fleet verdicts equal
+single-job trial verdicts.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..analysis.experiments import ExperimentConfig, _trial_rng, build_trial, demand_for
-from ..fastsim.model import run_iterations
-from .codec import FPREC_VERSION, JobConfig, RecordBatch, write_fprec
+from ..core.blocks import IterationSegment
+from ..fastsim.model import run_segments
+from .codec import FPREC_VERSION, JobConfig, write_fprec
 from .shard import FleetError
 
 #: Job ids start here; ids are dense so routing balance is testable.
@@ -107,13 +109,13 @@ def generate_jobs(config: LoadGenConfig) -> list[JobConfig]:
     return jobs
 
 
-def job_records(config: LoadGenConfig, job: JobConfig) -> list[RecordBatch]:
-    """Simulate one job's run; one :class:`RecordBatch` per iteration.
+def job_records(config: LoadGenConfig, job: JobConfig) -> list[IterationSegment]:
+    """Simulate one job's run; one segment per iteration.
 
     Mirrors :func:`repro.analysis.experiments.run_trial_with_verdict`
     exactly — same :func:`_trial_rng` spawn, same simulation seed, same
-    fault schedule — so a job's record stream is indistinguishable from
-    the one a direct trial would have produced.
+    fault schedule — so a job's stream is indistinguishable from the
+    one a direct trial would have produced.
     """
     experiment = job.experiment
     setup = build_trial(experiment, base_seed=job.base_seed, trial=job.trial)
@@ -125,7 +127,7 @@ def job_records(config: LoadGenConfig, job: JobConfig) -> list[RecordBatch]:
             return {setup.fault_link: experiment.drop_rate}
         return {}
 
-    iterations = run_iterations(
+    return run_segments(
         setup.model,
         demand_for(experiment),
         experiment.n_iterations,
@@ -133,18 +135,17 @@ def job_records(config: LoadGenConfig, job: JobConfig) -> list[RecordBatch]:
         job_id=experiment.job_id,
         fault_schedule=fault_schedule,
     )
-    return [RecordBatch.from_records(records) for records in iterations]
 
 
 def generate_workload(
     config: LoadGenConfig,
-) -> tuple[list[JobConfig], list[RecordBatch]]:
-    """Jobs plus their batches interleaved round-robin by iteration:
+) -> tuple[list[JobConfig], list[IterationSegment]]:
+    """Jobs plus their segments interleaved round-robin by iteration:
     iteration 0 of every job, then iteration 1 of every job, and so on —
     the concurrent-arrival order a fleet frontend sees."""
     jobs = generate_jobs(config)
     per_job = [job_records(config, job) for job in jobs]
-    batches: list[RecordBatch] = []
+    batches: list[IterationSegment] = []
     for iteration in range(config.n_iterations):
         for stream in per_job:
             if iteration < len(stream):

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import connection
 
+from ..core.blocks import IterationSegment
 from ..core.monitor import IterationVerdict
 from ..telemetry.events import EventLog
 from ..telemetry.registry import MetricsRegistry
@@ -337,7 +338,7 @@ class FleetService:
         self.registry.counter("fleet.submitted_jobs").inc()
         return shard
 
-    def submit(self, batch: RecordBatch) -> None:
+    def submit(self, batch: IterationSegment | RecordBatch) -> None:
         """Encode (at the configured wire version) and ingest one batch."""
         self.submit_encoded(
             encode_batch(batch, version=self.config.wire_version),
@@ -699,16 +700,17 @@ def serve_fprec(
 def reference_verdicts(
     jobs, batches
 ) -> dict[int, list[IterationVerdict]]:
-    """The golden reference: feed every batch directly into its job's
-    monitor, single process, in submission order.  The fleet service
-    must match this bit for bit (block policy)."""
-    monitors = {job.job_id: build_monitor(job) for job in jobs}
-    verdicts: dict[int, list[IterationVerdict]] = {
-        job.job_id: [] for job in jobs
-    }
+    """The golden reference: every job's batches, in submission order,
+    scored by one :meth:`~repro.core.monitor.FlowPulseMonitor.process_block`
+    on a fresh monitor in this process.  The fleet service must match
+    this bit for bit (block policy)."""
+    entries: dict[int, list] = {job.job_id: [] for job in jobs}
     for batch in batches:
-        monitor = monitors.get(batch.job_id)
-        if monitor is None:
-            continue
-        verdicts[batch.job_id].append(monitor.process_iteration(list(batch.records)))
-    return verdicts
+        if batch.job_id in entries:
+            entries[batch.job_id].append(
+                batch if isinstance(batch, IterationSegment) else list(batch.records)
+            )
+    return {
+        job.job_id: build_monitor(job).process_block(entries[job.job_id])
+        for job in jobs
+    }

@@ -113,6 +113,23 @@ def test_segment_round_trips_records():
     assert [int(leaf) for leaf in segment.leaves] == [2, 0, 1]
 
 
+def test_segments_compare_by_column_values():
+    records = [make_record(leaf=leaf) for leaf in (2, 0, 1)]
+    segment = IterationSegment.from_records(records)
+    same = columnar([records])[0]
+    assert segment == same and not segment != same
+    other_value = IterationSegment.from_records(
+        [make_record(leaf=2, port_bytes={0: 1000, 1: 2001})] + records[1:]
+    )
+    other_tag = IterationSegment.from_records(
+        [make_record(leaf=leaf, iteration=1) for leaf in (2, 0, 1)]
+    )
+    assert segment != other_value and segment != other_tag
+    assert segment != records
+    with pytest.raises(TypeError):
+        hash(segment)
+
+
 def test_segment_lazy_record_materialization():
     records = [
         make_record(leaf=0, port_bytes={3: 10, 1: 20.5}, sender_bytes={(1, 2): 7})

@@ -5,13 +5,15 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentConfig
-from repro.core.blocks import IterationSegment
+from repro.core.blocks import SEGMENT_COLUMNS, IterationSegment
 from repro.fleet import (
     CodecError,
     JobConfig,
@@ -49,13 +51,6 @@ def make_batch(n_leaves=3, **kwargs):
     return RecordBatch.from_records(
         [make_record(leaf=leaf, **kwargs) for leaf in range(n_leaves)]
     )
-
-
-SEGMENT_COLUMNS = (
-    "leaves", "start_ns", "end_ns",
-    "port_offsets", "port_keys", "port_raw", "port_flags",
-    "sender_offsets", "sender_spines", "sender_srcs", "sender_raw", "sender_flags",
-)
 
 
 def assert_same_segment(got: IterationSegment, want: IterationSegment):
@@ -290,6 +285,140 @@ def test_malformed_v1_entries_fail_typed_in_the_columnar_decode(edit):
 def test_empty_v1_batch_is_no_segment():
     with pytest.raises(CodecError, match="empty"):
         decode_batch_segment('["fprec",1,"b",3,0,2,"allreduce",[]]')
+
+
+# ----------------------------------------------------------------------
+# Both writers accept the same batches, and only what decodes back
+# ----------------------------------------------------------------------
+def batch_with(job_id=3, iteration=2, **fields) -> RecordBatch:
+    """A one-record batch with some fields replaced as given."""
+    return RecordBatch.from_records(
+        [replace(make_record(job_id=job_id, iteration=iteration), **fields)]
+    )
+
+
+REFUSED = {
+    "bool counter": dict(port_bytes={0: True}),
+    "counter 2**63": dict(port_bytes={0: 2**63}),
+    "counter below int64": dict(sender_bytes={(0, 1): -(2**63) - 1}),
+    "string counter": dict(port_bytes={0: "5"}),
+    "nan counter": dict(sender_bytes={(0, 1): math.nan}),
+    "float port key": dict(port_bytes={1.0: 5}),
+    "bool port key": dict(port_bytes={True: 5}),
+    "float sender key": dict(sender_bytes={(0, 1.0): 5}),
+    "bool sender key": dict(sender_bytes={(True, 1): 5}),
+    "sender key not a pair": dict(sender_bytes={(0, 1, 2): 5}),
+    "float leaf": dict(leaf=1.0),
+    "bool leaf": dict(leaf=True),
+    "leaf 2**63": dict(leaf=2**63),
+    "float start_ns": dict(start_ns=100.0),
+    "bool end_ns": dict(end_ns=True),
+    "float job_id": dict(job_id=3.0),
+    "bool iteration": dict(iteration=True),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_writers_refuse_what_the_decoders_refuse(name, version):
+    """A value ``decode_batch_segment`` would refuse (or read back as
+    something else) is a CodecError at encode, in both versions."""
+    with pytest.raises(CodecError):
+        encode_batch(batch_with(**REFUSED[name]), version=version)
+
+
+NUMPY_FORMS = {
+    "np.int64 counter": (dict(port_bytes={0: np.int64(7)}), dict(port_bytes={0: 7})),
+    "np.uint8 counter": (dict(port_bytes={0: np.uint8(7)}), dict(port_bytes={0: 7})),
+    "np.float64 counter": (dict(port_bytes={0: np.float64(7.5)}), dict(port_bytes={0: 7.5})),
+    "np.int32 key": (dict(sender_bytes={(np.int32(0), 1): 4}), dict(sender_bytes={(0, 1): 4})),
+    "np.int64 leaf": (dict(leaf=np.int64(5)), dict(leaf=5)),
+    "np.int64 start_ns": (dict(start_ns=np.int64(9)), dict(start_ns=9)),
+    "np.int64 job_id": (dict(job_id=np.int64(8)), dict(job_id=8)),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("name", sorted(NUMPY_FORMS))
+def test_numpy_scalars_encode_as_the_python_values(name, version):
+    numpy_form, python_form = NUMPY_FORMS[name]
+    unit = encode_batch(batch_with(**numpy_form), version=version)
+    assert unit == encode_batch(batch_with(**python_form), version=version)
+    assert decode_batch_segment(unit).records() == list(batch_with(**python_form).records)
+
+
+_INT64_EDGES = [-(2**63), 2**63 - 1]
+_GOOD_KEY = st.one_of(
+    st.integers(0, 6), st.sampled_from(_INT64_EDGES), st.integers(0, 6).map(np.int64)
+)
+_GOOD_COUNTER = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 99).map(np.uint16),
+)
+_ANY = st.one_of(
+    _GOOD_COUNTER,
+    st.sampled_from([-(2**63) - 1, 2**63, 2**64, 1.0, math.inf, "7", None]),
+    st.booleans(),
+    st.floats(),
+)
+
+
+@st.composite
+def _any_batch(draw):
+    """A batch of anything a caller might hand the writers.  Half the
+    batches hold only valid values (ints at the int64 edges, any finite
+    float, numpy scalars); the other half draw every slot from a pool
+    that adds out-of-range ints, bools, integral and non-finite floats,
+    strings and ``None``."""
+    clean = draw(st.booleans())
+    key = _GOOD_KEY if clean else st.one_of(_GOOD_KEY, _ANY)
+    counter = _GOOD_COUNTER if clean else _ANY
+    sender_key = st.tuples(key, key) if clean else st.one_of(
+        st.tuples(key, key), st.tuples(key, key, key)
+    )
+    ids = st.integers(0, 2**64 - 1)
+    if not clean:
+        ids = st.one_of(ids, st.booleans(), st.just(4.0))
+    tag = FlowTag(job_id=draw(ids), iteration=draw(ids))
+    records = [
+        IterationRecord(
+            leaf=draw(key),
+            tag=tag,
+            port_bytes=draw(st.dictionaries(key, counter, max_size=4)),
+            sender_bytes=draw(st.dictionaries(sender_key, counter, max_size=4)),
+            start_ns=draw(key),
+            end_ns=draw(key),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return RecordBatch.from_records(records)
+
+
+def value_kinds(records):
+    return [
+        {key: isinstance(value, float) for key, value in (r.port_bytes | r.sender_bytes).items()}
+        for r in records
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=_any_batch())
+def test_property_every_accepted_batch_decodes_to_its_records(batch):
+    """What ``encode_batch`` writes, ``decode_batch_segment`` reads back
+    as the records it was given — floats as floats, ints as ints — and
+    the two versions accept exactly the same batches."""
+    accepted = []
+    for version in (1, 2):
+        try:
+            unit = encode_batch(batch, version=version)
+        except CodecError:
+            continue
+        records = decode_batch_segment(unit).records()
+        assert records == list(batch.records)
+        assert value_kinds(records) == value_kinds(batch.records)
+        accepted.append(version)
+    assert accepted in ([], [1, 2])
 
 
 # ----------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_tcp_ingest_single_connection_parity(small_workload):
     assert stats.connections == 1
     assert server.stats.jobs == len(jobs)
     assert server.stats.batches == len(batches)
-    assert server.stats.records == sum(len(b.records) for b in batches)
+    assert server.stats.records == sum(b.n_records for b in batches)
     assert server.stats.protocol_errors == 0
     assert_parity(service.result, jobs, batches)
 
@@ -115,7 +115,7 @@ def test_tcp_ingest_applies_backpressure_not_loss(small_workload):
         server, _stats = serve_and_stream(
             service, jobs, batches, connections=2, config=config
         )
-    assert server.stats.records == sum(len(b.records) for b in batches)
+    assert server.stats.records == sum(b.n_records for b in batches)
     assert_parity(service.result, jobs, batches)
 
 
@@ -174,7 +174,7 @@ def test_close_waits_for_inflight_connection(small_workload):
 
     with service:
         server = asyncio.run(_run())
-    assert server.stats.records == sum(len(b.records) for b in batches)
+    assert server.stats.records == sum(b.n_records for b in batches)
     assert_parity(service.result, jobs, batches)
 
 

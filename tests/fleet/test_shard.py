@@ -99,7 +99,7 @@ def test_v1_lines_score_as_their_record_lists_do(small_workload, some_floats):
                             for port, size in record.port_bytes.items()
                         },
                     )
-                    for record in batch.records
+                    for record in batch.records()
                 ]
             )
             for batch in batches
