@@ -12,6 +12,7 @@ All randomness derives from (base_seed, trial_index, injected?) via
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,10 +139,36 @@ def _trial_rng(base_seed: int, trial: int, injected: bool) -> np.random.SeedSequ
     return np.random.SeedSequence([base_seed, trial, int(injected)])
 
 
+class LRUCache(OrderedDict):
+    """Least-recently-used dict of at most ``maxsize`` entries, behind the
+    ``get`` / item assignment its users call."""
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
+#: How many demand matrices one process keeps.  A sweep or a fleet
+#: shard uses a handful of collective sizes at a time; a long-lived
+#: worker that sees many must not keep every one alive.
+_DEMAND_CACHE_SIZE = 8
+
 #: Ring-demand matrices are pure functions of (n_hosts, bytes, allreduce)
 #: and are never mutated after construction, so trials sharing a config
 #: can share one instance instead of rebuilding it per trial.
-_DEMAND_CACHE: dict[tuple[int, int, bool], DemandMatrix] = {}
+_DEMAND_CACHE = LRUCache(_DEMAND_CACHE_SIZE)
 
 
 def demand_for(config: ExperimentConfig) -> DemandMatrix:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
@@ -42,6 +41,7 @@ from .experiments import (
     BatchResult,
     ExperimentConfig,
     ExperimentError,
+    LRUCache,
     TrialOutcome,
     run_trial,
 )
@@ -101,29 +101,11 @@ class SweepStats:
 #: hit.
 _BASELINE_CACHE_SIZE = 8
 
-
-class _BaselineCache(OrderedDict):
-    """Least-recently-used dict of at most :data:`_BASELINE_CACHE_SIZE`
-    entries, behind the ``get`` / item assignment the trial runner uses."""
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > _BASELINE_CACHE_SIZE:
-            self.popitem(last=False)
-
-
 #: Per-process predictor-baseline cache.  Plain module state: every
 #: worker process (and the parent, for ``jobs=1``) keeps its own copy,
 #: so no cross-process synchronisation is needed and cached entries are
 #: reused across the tasks a worker handles.
-_BASELINE_CACHE = _BaselineCache()
+_BASELINE_CACHE = LRUCache(_BASELINE_CACHE_SIZE)
 
 
 def _run_task(task: SweepTask) -> TrialOutcome:

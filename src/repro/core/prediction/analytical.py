@@ -14,6 +14,8 @@ first training iteration.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from ...collectives.demand import DemandMatrix
 from ...topology.graph import ClosSpec, ControlPlane
 from .base import LoadPrediction, LoadPredictor, PortPrediction
@@ -44,9 +46,17 @@ class AnalyticalPredictor(LoadPredictor):
         for (src_leaf, dst_leaf), size in sorted(
             self.demand.leaf_pairs(spec).items()
         ):
-            spines = self.control.valid_spines(src_leaf, dst_leaf)
+            spines = self.control.spray_spines(src_leaf, dst_leaf)
             share = size / len(spines)
             ports = port_bytes[dst_leaf]
+            if not ports:
+                # The leaf's first pair: ``0.0 + share`` is ``share``, so
+                # setting is accumulating, insertion order included.
+                port_bytes[dst_leaf] = dict.fromkeys(spines, share)
+                sender_bytes[dst_leaf] = dict(
+                    zip(zip(spines, repeat(src_leaf)), repeat(share))
+                )
+                continue
             senders = sender_bytes[dst_leaf]
             for spine in spines:
                 ports[spine] = ports.get(spine, 0.0) + share

@@ -17,9 +17,13 @@ paper:
   predictor, applied only when simulating "reality".
 
 The hot path is vectorized: per-pair survival probabilities and valid
-spine sets are computed once per model and cached, port volumes
+spine sets are computed once per model and cached, each run resolves
+its leaf pairs once per step model into a step table, port volumes
 accumulate into a dense ``(dst_leaf, spine)`` array, and each leaf
-pair's per-spine arrival vector is kept as drawn.  One builder turns
+pair's per-spine arrival vector is kept as drawn.  Under ``random``
+spraying a pair that survives every spine with probability exactly 1.0
+draws only its multinomial and advances the generator past the
+binomial that would return the counts unchanged.  One builder turns
 those arrays into the iteration's single output, a columnar
 :class:`~repro.core.blocks.IterationSegment` (:func:`simulate_segment`,
 :func:`run_segments`) — the shape the monitor scores in one numpy pass.
@@ -54,10 +58,23 @@ from ..topology.graph import (
 )
 from .sampling import (
     FastSimError,
-    _deliver_transfer_prevalidated,
+    _advance_replaces_binomial,
+    _deliver_lossless,
+    _deliver_packets_unchecked,
+    _uniform_pvals,
     expected_arrival_bytes,
     spray_counts,
 )
+
+
+class _PairPath(NamedTuple):
+    """A leaf pair's cached spraying state under one model."""
+
+    idx: np.ndarray  # exactly ``control().valid_spines(src, dst)``, as an array
+    survive: np.ndarray  # exactly :meth:`FabricModel.survive_probs` over it
+    all_zero: bool  # every valid spine drops everything
+    full_span: bool  # the pair sprays over every spine, in order
+    lossless: bool  # every valid spine survives with probability exactly 1.0
 
 
 @dataclass(frozen=True)
@@ -148,41 +165,47 @@ class FabricModel:
         self._keep_cache[include_silent] = (up_keep, down_keep)  # type: ignore[attr-defined]
         return up_keep, down_keep
 
-    def _pair_paths(
-        self, src_leaf: int, dst_leaf: int, include_silent: bool
-    ) -> tuple[list[int], np.ndarray, np.ndarray, bool, bool]:
-        """Cached ``(spines, spine_index_array, survive, all_zero,
-        full_span)`` for a leaf pair.
+    def _pair_paths(self, pairs: list, include_silent: bool) -> list[_PairPath]:
+        """The cached :class:`_PairPath` of every leaf pair in ``pairs``,
+        a demand's ``((src_leaf, dst_leaf), size)`` items.
 
-        ``spines`` is exactly ``control().valid_spines(src, dst)``,
-        ``survive`` exactly :meth:`survive_probs` over it, ``all_zero``
-        a precomputed ``all(survive == 0)`` so the sampling layer can
-        skip re-checking the cached vector on every transfer, and
-        ``full_span`` whether the pair sprays over *every* spine in
-        order — letting accumulation use plain row adds instead of
-        fancy indexing.
+        ``all_zero`` spares the sampling layer re-checking the cached
+        vector on every transfer, ``full_span`` lets accumulation use
+        plain row adds instead of fancy indexing, and ``lossless`` lets
+        ``random`` spraying skip a binomial that cannot drop a packet.
+        Without disabled links every pair spans every spine, so the
+        uncached survival vectors are the rows of one product — the
+        same per-element products as :meth:`survive_probs`.
         """
-        key = (src_leaf, dst_leaf, include_silent)
-        cached = self._path_cache.get(key)  # type: ignore[attr-defined]
-        if cached is not None:
-            return cached
-        if self.known_disabled:
-            control = self.control()
-            spines = control.valid_spines(src_leaf, dst_leaf)
-        else:
-            spines = list(range(self.spec.n_spines))
-        idx = np.asarray(spines, dtype=np.intp)
-        up_keep, down_keep = self._keep_matrices(include_silent)
-        survive = up_keep[src_leaf, idx] * down_keep[idx, dst_leaf]
-        entry = (
-            spines,
-            idx,
-            survive,
-            bool(np.all(survive == 0.0)),
-            spines == list(range(self.spec.n_spines)),
-        )
-        self._path_cache[key] = entry  # type: ignore[attr-defined]
-        return entry
+        cache = self._path_cache  # type: ignore[attr-defined]
+        missing = [pair for pair, _size in pairs if (*pair, include_silent) not in cache]
+        if missing:
+            n_spines = self.spec.n_spines
+            up_keep, down_keep = self._keep_matrices(include_silent)
+            if self.known_disabled:
+                control = self.control()
+                for src, dst in missing:
+                    idx = np.asarray(control.valid_spines(src, dst), dtype=np.intp)
+                    survive = up_keep[src, idx] * down_keep[idx, dst]
+                    cache[src, dst, include_silent] = _PairPath(
+                        idx,
+                        survive,
+                        not survive.any(),
+                        len(idx) == n_spines,  # valid spines ascend
+                        bool((survive == 1.0).all()),
+                    )
+            else:
+                srcs, dsts = np.array(missing, dtype=np.intp).reshape(-1, 2).T
+                survive = up_keep[srcs] * down_keep[:, dsts].T
+                all_zero = (~survive.any(axis=1)).tolist()
+                lossless = (survive == 1.0).all(axis=1).tolist()
+                idx = np.arange(n_spines, dtype=np.intp)
+                idx.flags.writeable = False  # shared by every pair
+                for row, (src, dst) in enumerate(missing):
+                    cache[src, dst, include_silent] = _PairPath(
+                        idx, survive[row], all_zero[row], True, lossless[row]
+                    )
+        return [cache[src, dst, include_silent] for (src, dst), _size in pairs]
 
     def survive_probs(
         self, src_leaf: int, dst_leaf: int, spines: list[int], include_silent: bool = True
@@ -243,7 +266,8 @@ def _pair_layout(
 ) -> _PairLayout:
     spec = model.spec
     pairs = sorted(demand.leaf_pairs(spec).items())
-    spans = [model._pair_paths(src, dst, include_silent)[1] for (src, dst), _size in pairs]
+    paths = model._pair_paths(pairs, include_silent)
+    spans = [path.idx for path in paths]
     widths = [len(idx) for idx in spans]
     spines = np.concatenate(spans) if spans else np.zeros(0, dtype=KEY_DTYPE)
     dsts = np.repeat([dst for (_src, dst), _size in pairs], widths).astype(KEY_DTYPE)
@@ -301,13 +325,89 @@ def _segment(
     )
 
 
+def _step_table(
+    model: FabricModel, layout: _PairLayout, include_silent: bool, skip_binomial: bool
+) -> list[tuple]:
+    """What one iteration under ``model`` needs per leaf pair of
+    ``layout``, resolved once: ``(dst_leaf, parts, idx, survive,
+    all_zero, full_span, lossless, pvals)``.
+
+    ``parts`` lists the transfer's ``(packets, bytes_each)`` deliveries:
+    the full MTU packets, then the lone remainder packet.  ``lossless``
+    is set only when ``skip_binomial`` allows the stream advance (see
+    :func:`~repro.fastsim.sampling._advance_replaces_binomial`) and the
+    model sprays ``random``.
+    """
+    mtu = model.mtu
+    skip_binomial = skip_binomial and model.spraying == "random"
+    table = []
+    paths = model._pair_paths(layout.pairs, include_silent)
+    for ((_src_leaf, dst_leaf), size), path in zip(layout.pairs, paths):
+        if size <= 0:
+            raise FastSimError("transfer size must be positive")
+        n_full, rem = divmod(size, mtu)
+        parts = []
+        if n_full:
+            parts.append((n_full, mtu))
+        if rem:
+            parts.append((1, rem))
+        table.append(
+            (
+                dst_leaf,
+                parts,
+                path.idx,
+                path.survive,
+                path.all_zero,
+                path.full_span,
+                path.lossless and skip_binomial,
+                _uniform_pvals(len(path.idx)),
+            )
+        )
+    return table
+
+
+def _simulate_table(
+    model: FabricModel,
+    table: list[tuple],
+    layout: _PairLayout,
+    rng: np.random.Generator,
+    tag: FlowTag,
+) -> IterationSegment:
+    """One iteration from a :func:`_step_table`."""
+    spec = model.spec
+    port_acc = np.zeros((spec.n_leaves, spec.n_spines), dtype=np.int64)
+    arrivals = []
+    spraying = model.spraying
+    for dst_leaf, parts, idx, survive, all_zero, full_span, lossless, pvals in table:
+        arrived = None
+        for packets, bytes_each in parts:
+            if lossless:
+                got = _deliver_lossless(packets, pvals, rng) * bytes_each
+            else:
+                got = (
+                    _deliver_packets_unchecked(
+                        packets, survive, spraying, rng, all_zero=all_zero
+                    )
+                    * bytes_each
+                )
+            if arrived is None:
+                arrived = got
+            else:
+                arrived += got
+        if full_span:
+            port_acc[dst_leaf] += arrived
+        else:
+            port_acc[dst_leaf, idx] += arrived
+        arrivals.append(arrived)
+    return _segment(port_acc, arrivals, layout, tag)
+
+
 def simulate_segment(
     model: FabricModel,
     demand: DemandMatrix,
     rng: np.random.Generator,
     tag: FlowTag | None = None,
     include_silent: bool = True,
-    _layout: _PairLayout | None = None,
 ) -> IterationSegment:
     """Simulate one collective iteration; returns its columnar segment
     (one record per leaf, in leaf order).
@@ -317,32 +417,15 @@ def simulate_segment(
     ``include_silent``, silent) are re-sprayed as the RoCE transport
     would retransmit them.  Records carry iteration-index pseudo-times.
 
-    ``_layout`` lets :func:`run_segments` derive the pair layout once
-    per run instead of every iteration.
-
     Bit-identical to the test oracle's ``reference_simulate_iteration``
     (``tests/fastsim/_reference.py``) for equal seeds: the sequence of RNG
-    draws is unchanged, only the accumulation is vectorized.
+    draws is unchanged, and ``rng`` ends in the same state.  Only the
+    accumulation is vectorized, and a lossless pair advances the stream
+    instead of drawing a binomial that returns its input.
     """
-    spec = model.spec
-    tag = tag or FlowTag(job_id=0, iteration=0)
-    layout = _pair_layout(model, demand, include_silent) if _layout is None else _layout
-    port_acc = np.zeros((spec.n_leaves, spec.n_spines), dtype=np.int64)
-    arrivals = []
-    mtu, spraying = model.mtu, model.spraying
-    for (src_leaf, dst_leaf), size in layout.pairs:
-        _spines, idx, survive, all_zero, full_span = model._pair_paths(
-            src_leaf, dst_leaf, include_silent
-        )
-        arrived = _deliver_transfer_prevalidated(
-            size, mtu, survive, spraying, rng, all_zero
-        )
-        if full_span:
-            port_acc[dst_leaf] += arrived
-        else:
-            port_acc[dst_leaf, idx] += arrived
-        arrivals.append(arrived)
-    return _segment(port_acc, arrivals, layout, tag)
+    layout = _pair_layout(model, demand, include_silent)
+    table = _step_table(model, layout, include_silent, _advance_replaces_binomial(rng))
+    return _simulate_table(model, table, layout, rng, tag or FlowTag(job_id=0, iteration=0))
 
 
 def simulate_iteration(
@@ -381,13 +464,12 @@ def simulate_iteration_with_spines(
     spine_ingress = np.zeros((spec.n_spines, spec.n_leaves), dtype=np.int64)
 
     up_keep_m, down_keep_m = model._keep_matrices(include_silent)
-    for (src_leaf, dst_leaf), size in layout.pairs:
-        _spines, idx, survive, all_zero, _full_span = model._pair_paths(
-            src_leaf, dst_leaf, include_silent
-        )
+    paths = model._pair_paths(layout.pairs, include_silent)
+    for ((src_leaf, dst_leaf), size), path in zip(layout.pairs, paths):
+        idx = path.idx
         up_keep = up_keep_m[src_leaf, idx]
         down_keep = down_keep_m[idx, dst_leaf]
-        if all_zero:
+        if path.all_zero:
             raise FastSimError("every valid path drops all packets")
         arrived = np.zeros(len(idx), dtype=np.int64)
         n_full, rem = divmod(size, model.mtu)
@@ -441,12 +523,10 @@ def expected_iteration(
     layout = _pair_layout(model, demand, include_silent)
     port_acc = np.zeros((spec.n_leaves, spec.n_spines))
     arrivals = []
-    for (src_leaf, dst_leaf), size in layout.pairs:
-        _spines, idx, survive, _all_zero, _full_span = model._pair_paths(
-            src_leaf, dst_leaf, include_silent
-        )
-        arrived = expected_arrival_bytes(size, model.mtu, survive)
-        port_acc[dst_leaf, idx] += arrived
+    paths = model._pair_paths(layout.pairs, include_silent)
+    for ((_src_leaf, dst_leaf), size), path in zip(layout.pairs, paths):
+        arrived = expected_arrival_bytes(size, model.mtu, path.survive)
+        port_acc[dst_leaf, path.idx] += arrived
         arrivals.append(arrived)
     return _segment(port_acc, arrivals, layout, FlowTag(job_id=0, iteration=0)).records()
 
@@ -469,28 +549,34 @@ def run_segments(
     ``fault_schedule(iteration)`` may override the silent-fault set per
     iteration — this is how transient faults (paper Fig. 3) are modelled
     at iteration granularity.  Consecutive iterations with an unchanged
-    fault set reuse the same model instance, so its cached survival
-    vectors survive across iterations.
+    fault set share one step model and its per-pair step table; a fault
+    set equal to the model's own silent faults reuses ``model`` itself.
     """
     if n_iterations < 1:
         raise FastSimError("need at least one iteration")
     rng = np.random.Generator(np.random.PCG64(seed))
+    # A fresh PCG64 qualifies, and the draws of a run never fill the
+    # buffered half that would disqualify it (random spraying only).
+    skip_binomial = _advance_replaces_binomial(rng)
     segments = []
-    layout = None
+    layout = table = None
     step_model = model
     last_faults: dict[str, float] | None = None
     for iteration in range(n_iterations):
         if fault_schedule is not None:
             faults = fault_schedule(iteration)
             if last_faults is None or faults != last_faults:
-                step_model = model.with_silent(faults)
+                step_model = model if faults == model.silent else model.with_silent(faults)
                 last_faults = dict(faults)
+                table = None
         if layout is None:
             # Built from the first step model, whose path cache the
-            # first iteration then reuses.
+            # first step table then reuses.
             layout = _pair_layout(step_model, demand, True)
+        if table is None:
+            table = _step_table(step_model, layout, True, skip_binomial)
         tag = FlowTag(job_id=job_id, iteration=iteration)
-        segments.append(simulate_segment(step_model, demand, rng, tag=tag, _layout=layout))
+        segments.append(_simulate_table(step_model, table, layout, rng, tag))
     return segments
 
 

@@ -18,6 +18,42 @@ class FastSimError(RuntimeError):
     """Raised when the statistical model cannot make progress."""
 
 
+def _check_count(name: str, value) -> int:
+    """``value`` as a plain ``int`` if it is a non-negative integer.
+
+    Floats and bools are refused rather than truncated or coerced: a
+    fractional packet count silently simulates fewer packets.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise FastSimError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise FastSimError(f"{name} must be non-negative, got {value}")
+    return int(value)
+
+
+def _check_probabilities(survive_prob) -> np.ndarray:
+    """``survive_prob`` as a 1-D float array of finite values in [0, 1]."""
+    survive_prob = np.asarray(survive_prob, dtype=float)
+    if survive_prob.ndim != 1 or survive_prob.size < 1:
+        raise FastSimError("survive_prob must be a 1-D array of ports")
+    # NaN fails both comparisons and an infinity fails one, so this
+    # also refuses every non-finite value.
+    if not np.all((survive_prob >= 0.0) & (survive_prob <= 1.0)):
+        raise FastSimError("survival probabilities must lie in [0, 1]")
+    return survive_prob
+
+
+def _check_transfer(total_bytes, mtu) -> tuple[int, int]:
+    """``(total_bytes, mtu)`` as plain ints, both positive."""
+    total_bytes = _check_count("transfer size", total_bytes)
+    mtu = _check_count("mtu", mtu)
+    if total_bytes == 0:
+        raise FastSimError("transfer size must be positive")
+    if mtu == 0:
+        raise FastSimError("mtu must be positive")
+    return total_bytes, mtu
+
+
 #: Cached uniform multinomial pvals per port count.  ``np.full(p, 1/p)``
 #: is bit-identical every time, so caching cannot change any draw.
 _UNIFORM_PVALS: dict[int, np.ndarray] = {}
@@ -43,9 +79,8 @@ def spray_counts(
     ``n // p`` packets and the remainder lands on ``n % p`` random
     distinct ports (pure quantization noise).
     """
-    if n_packets < 0:
-        raise FastSimError(f"negative packet count: {n_packets}")
-    if n_ports < 1:
+    n_packets = _check_count("packet count", n_packets)
+    if _check_count("port count", n_ports) < 1:
         raise FastSimError("need at least one port to spray over")
     if n_packets == 0:
         return np.zeros(n_ports, dtype=np.int64)
@@ -78,11 +113,8 @@ def deliver_packets(
     see).  Mirrors the RoCE transport: a dropped packet times out and is
     re-sprayed over all valid ports.
     """
-    survive_prob = np.asarray(survive_prob, dtype=float)
-    if survive_prob.ndim != 1 or survive_prob.size < 1:
-        raise FastSimError("survive_prob must be a 1-D array of ports")
-    if np.any((survive_prob < 0.0) | (survive_prob > 1.0)):
-        raise FastSimError("survival probabilities must lie in [0, 1]")
+    n_packets = _check_count("packet count", n_packets)
+    survive_prob = _check_probabilities(survive_prob)
     return _deliver_packets_unchecked(n_packets, survive_prob, mode, rng, max_rounds)
 
 
@@ -135,15 +167,8 @@ def deliver_transfer_bytes(
     The trailing partial packet (if any) is simulated individually so
     byte totals are exact rather than rounded to MTU multiples.
     """
-    if total_bytes <= 0:
-        raise FastSimError("transfer size must be positive")
-    if mtu <= 0:
-        raise FastSimError("mtu must be positive")
-    survive_prob = np.asarray(survive_prob, dtype=float)
-    if survive_prob.ndim != 1 or survive_prob.size < 1:
-        raise FastSimError("survive_prob must be a 1-D array of ports")
-    if np.any((survive_prob < 0.0) | (survive_prob > 1.0)):
-        raise FastSimError("survival probabilities must lie in [0, 1]")
+    total_bytes, mtu = _check_transfer(total_bytes, mtu)
+    survive_prob = _check_probabilities(survive_prob)
     n_full, rem = divmod(total_bytes, mtu)
     delivered = np.zeros(survive_prob.size, dtype=np.int64)
     if n_full:
@@ -153,37 +178,40 @@ def deliver_transfer_bytes(
     return delivered
 
 
-def _deliver_transfer_prevalidated(
-    total_bytes: int,
-    mtu: int,
-    survive_prob: np.ndarray,
-    mode: str,
-    rng: np.random.Generator,
-    all_zero: bool = False,
-) -> np.ndarray:
-    """:func:`deliver_transfer_bytes` for the model's cached survival
-    vectors: skips the per-call array validation (the vector was
-    validated when its cache entry was built) and takes the precomputed
-    ``all_zero`` verdict.  Draw-for-draw identical to the checked path.
+def _advance_replaces_binomial(rng: np.random.Generator) -> bool:
+    """Whether :func:`_deliver_lossless`'s stream advance leaves ``rng``
+    exactly where the binomial draw it replaces would.
+
+    With survival probability 1.0, numpy's binomial returns ``n`` after
+    one ``next_double`` when ``n > 0`` and draws nothing when ``n == 0``;
+    on PCG64 one ``next_double`` is one 64-bit output, and ``advance(k)``
+    moves the stream by exactly ``k`` outputs.  ``advance`` also clears
+    the generator's buffered 32-bit half, so it is exact only while that
+    buffer is empty.  Multinomial and binomial draws never fill it; the
+    ``adaptive`` spray's ``choice`` may, which is why only ``random``
+    spraying takes the lossless path.
     """
-    if total_bytes <= 0:
-        raise FastSimError("transfer size must be positive")
-    if mtu <= 0:
-        raise FastSimError("mtu must be positive")
-    n_full, rem = divmod(total_bytes, mtu)
-    if n_full:
-        delivered = (
-            _deliver_packets_unchecked(n_full, survive_prob, mode, rng, all_zero=all_zero)
-            * mtu
-        )
-        if rem:
-            delivered += (
-                _deliver_packets_unchecked(1, survive_prob, mode, rng, all_zero=all_zero)
-                * rem
-            )
-        return delivered
-    # total_bytes > 0 with n_full == 0 implies a lone partial packet.
-    return _deliver_packets_unchecked(1, survive_prob, mode, rng, all_zero=all_zero) * rem
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return False
+    state = bit_generator.state
+    return not state["has_uint32"] and not state["uinteger"]
+
+
+def _deliver_lossless(
+    n_packets: int, pvals: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``random``-spray delivery of ``n_packets > 0`` over ports that all
+    survive with probability exactly 1.0: every sprayed packet arrives.
+
+    Draw-for-draw identical to :func:`_deliver_packets_unchecked` while
+    :func:`_advance_replaces_binomial` holds: the same multinomial, then
+    one stream output per non-empty port in place of the binomial that
+    would return the counts unchanged.
+    """
+    counts = rng.multinomial(n_packets, pvals)
+    rng.bit_generator.advance(int(np.count_nonzero(counts)))
+    return counts
 
 
 def expected_arrival_bytes(
@@ -202,7 +230,9 @@ def expected_arrival_bytes(
     re-enters the pool.  Used by the simulation-based predictor when an
     expectation (not a sample) is wanted.
     """
-    survive_prob = np.asarray(survive_prob, dtype=float)
+    total_bytes = _check_count("transfer size", total_bytes)
+    _check_count("mtu", mtu)
+    survive_prob = _check_probabilities(survive_prob)
     if np.all(survive_prob == 0.0):
         raise FastSimError("every valid port drops all packets: unrecoverable")
     n_ports = survive_prob.size

@@ -161,3 +161,41 @@ def test_config_is_frozen():
     config = cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.drop_rate = 0.5
+
+
+def test_demand_cache_stays_bounded_and_returns_the_same_demands():
+    """A long-lived process that builds trials for more collective sizes
+    than the cache holds keeps only the most recent ones, and an evicted
+    size rebuilds to the same matrix."""
+    from repro.analysis import experiments
+    from repro.collectives import locality_optimized_ring, ring_demand
+
+    experiments._DEMAND_CACHE.clear()
+    bound = experiments._DEMAND_CACHE_SIZE
+    configs = [cfg(collective_bytes=(64 + size) * MIB) for size in range(bound + 5)]
+    first = [experiments.demand_for(config) for config in configs]
+    assert len(experiments._DEMAND_CACHE) == bound
+    # The oldest sizes were evicted; the newest are still shared.
+    assert experiments.demand_for(configs[-1]) is first[-1]
+    again = experiments.demand_for(configs[0])
+    assert again is not first[0]
+    assert len(experiments._DEMAND_CACHE) == bound
+    for config, demand in zip(configs, first):
+        direct = ring_demand(
+            locality_optimized_ring(config.spec().n_hosts),
+            config.collective_bytes,
+            allreduce=config.allreduce,
+        )
+        assert demand.leaf_pairs(config.spec()) == direct.leaf_pairs(config.spec())
+    assert again.leaf_pairs(configs[0].spec()) == first[0].leaf_pairs(configs[0].spec())
+
+
+def test_lru_cache_evicts_the_least_recently_used_entry():
+    from repro.analysis.experiments import LRUCache
+
+    cache = LRUCache(2)
+    cache["a"], cache["b"] = 1, 2
+    assert cache.get("a") == 1  # "a" is now the most recent
+    cache["c"] = 3
+    assert list(cache) == ["a", "c"]
+    assert cache.get("b") is None and cache.get("b", 0) == 0

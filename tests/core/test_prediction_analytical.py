@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.collectives import DemandMatrix, locality_optimized_ring, ring_demand
 from repro.core import AnalyticalPredictor, PredictionError
-from repro.topology import ClosSpec, down_link, up_link
+from repro.topology import ClosSpec, ControlPlane, down_link, up_link
 
 
 def ring_setup(n_leaves=4, n_spines=2, total=400_000):
@@ -94,6 +94,37 @@ def test_multi_sender_demand():
     assert np.isclose(leaf3.port_bytes[0], 200)
     assert np.isclose(leaf3.sender_bytes[(0, 0)], 50)
     assert np.isclose(leaf3.sender_bytes[(0, 1)], 150)
+
+
+@pytest.mark.parametrize(
+    "disabled", [frozenset(), frozenset({up_link(0, 1), down_link(2, 3), down_link(0, 5)})]
+)
+def test_prediction_is_the_pair_by_pair_sum_in_insertion_order(disabled):
+    """Every leaf's port and sender tables equal a plain pair-by-pair
+    accumulation: the same floats, keys in the same order (the localizer
+    walks ``sender_bytes`` in insertion order).  Several leaves receive
+    from more than one source leaf, over different spine sets."""
+    spec = ClosSpec(n_leaves=6, n_spines=4, hosts_per_leaf=2)
+    rng = np.random.default_rng(3)
+    demand = DemandMatrix()
+    for _ in range(40):
+        src, dst = rng.choice(spec.n_hosts, size=2, replace=False)
+        demand.add(int(src), int(dst), int(rng.integers(1, 10**7)))
+    control = ControlPlane(spec, known_disabled=disabled)
+    ports = [dict() for _ in range(spec.n_leaves)]
+    senders = [dict() for _ in range(spec.n_leaves)]
+    for (src, dst), size in sorted(demand.leaf_pairs(spec).items()):
+        spines = control.valid_spines(src, dst)
+        for spine in spines:
+            share = size / len(spines)
+            ports[dst][spine] = ports[dst].get(spine, 0.0) + share
+            senders[dst][spine, src] = senders[dst].get((spine, src), 0.0) + share
+    assert max(len({s for _spine, s in table}) for table in senders) > 1
+    prediction = AnalyticalPredictor(spec, demand, known_disabled=disabled).predict()
+    for leaf in range(spec.n_leaves):
+        got = prediction.for_leaf(leaf)
+        assert list(got.port_bytes.items()) == list(ports[leaf].items())
+        assert list(got.sender_bytes.items()) == list(senders[leaf].items())
 
 
 def test_expected_ports_reflect_faults():

@@ -21,6 +21,7 @@ from repro.fastsim import (
     run_iterations,
     simulate_iteration,
 )
+from repro.simnet.packet import FlowTag
 from repro.topology import ClosSpec, down_link, up_link
 
 from ._reference import (
@@ -31,10 +32,12 @@ from ._reference import (
 )
 
 SPEC = ClosSpec(n_leaves=6, n_spines=3, hosts_per_leaf=1)
+#: Sixteen spines: wide enough that a pair's packets leave ports empty.
+WIDE = ClosSpec(n_leaves=6, n_spines=16, hosts_per_leaf=1)
 
 
-def make_demand(size=500_000):
-    return ring_demand(locality_optimized_ring(SPEC.n_hosts), size)
+def make_demand(size=500_000, spec=SPEC):
+    return ring_demand(locality_optimized_ring(spec.n_hosts), size)
 
 
 def model_configs():
@@ -57,6 +60,45 @@ def model_configs():
         ),
         "small_mtu_remainder": FabricModel(
             SPEC, mtu=256, silent={up_link(4, 1): 0.03}
+        ),
+    }
+
+
+def edge_cases():
+    """Rows at the edges of the lossless-pair path: ``(model, demand)``.
+
+    In every row most leaf pairs survive every spine with probability
+    exactly 1.0, and at least one pair does not.
+    """
+    return {
+        # 50 000 B per pair at the 4 KiB MTU: 12 full packets and a
+        # remainder over 16 spines, so some ports draw zero packets.
+        "fewer_packets_than_spines": (
+            FabricModel(WIDE, silent={up_link(2, 5): 0.3}),
+            make_demand(60_000, WIDE),
+        ),
+        # 5 000 B per pair under an 8 KiB MTU: a lone remainder packet.
+        "remainder_only": (
+            FabricModel(WIDE, mtu=8192, silent={down_link(3, 4): 0.5}),
+            make_demand(6_000, WIDE),
+        ),
+        # Remainders place packets through rng.choice on lossless pairs.
+        "adaptive_mostly_lossless": (
+            FabricModel(WIDE, spraying="adaptive", silent={up_link(1, 7): 0.2}),
+            make_demand(300_000, WIDE),
+        ),
+        # Lossy pairs whose loss is known, with no silent fault anywhere.
+        "known_gray_only": (
+            FabricModel(SPEC, known_gray={up_link(1, 0): 0.03, down_link(2, 4): 0.1}),
+            make_demand(),
+        ),
+        # Lossless pairs that spray over only some of the spines.
+        "disabled_partial_span": (
+            FabricModel(
+                WIDE,
+                known_disabled=frozenset({up_link(0, 3), down_link(9, 2), up_link(4, 15)}),
+            ),
+            make_demand(300_000, WIDE),
         ),
     }
 
@@ -84,6 +126,55 @@ def test_simulate_iteration_golden(name, seed):
     # The RNG consumed exactly the same bitstream — downstream draws
     # (later iterations) stay aligned too.
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(edge_cases()))
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_simulate_iteration_golden_edges(name, seed):
+    model, demand = edge_cases()[name]
+    rng_new = np.random.Generator(np.random.PCG64(seed))
+    rng_ref = np.random.Generator(np.random.PCG64(seed))
+    for iteration in range(3):
+        tag = FlowTag(job_id=1, iteration=iteration)
+        got = simulate_iteration(model, demand, rng_new, tag=tag)
+        want = reference_simulate_iteration(model, demand, rng_ref, tag=tag)
+        assert_records_equal(got, want)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_simulate_iteration_golden_after_a_buffered_half_word():
+    """A caller's generator holding half of a 64-bit output keeps it:
+    advancing the stream would drop that half, so the simulator draws
+    the binomials instead."""
+    model, demand = edge_cases()["fewer_packets_than_spines"]
+    rng_new = np.random.Generator(np.random.PCG64(5))
+    rng_ref = np.random.Generator(np.random.PCG64(5))
+    for rng in (rng_new, rng_ref):
+        rng.integers(10, dtype=np.uint32)
+    got = simulate_iteration(model, demand, rng_new)
+    want = reference_simulate_iteration(model, demand, rng_ref)
+    assert_records_equal(got, want)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(edge_cases()))
+def test_run_iterations_golden_edges(name):
+    """Healthy steps, then the row's own silent faults: the run moves
+    between lossless and lossy step models."""
+    model, demand = edge_cases()[name]
+    silent = dict(model.silent)
+
+    def schedule(iteration):
+        return silent if iteration >= 2 else {}
+
+    for fault_schedule in (None, schedule):
+        got = run_iterations(model, demand, 5, seed=3, fault_schedule=fault_schedule)
+        want = reference_run_iterations(
+            model, demand, 5, seed=3, fault_schedule=fault_schedule
+        )
+        assert len(got) == len(want)
+        for g_iter, w_iter in zip(got, want):
+            assert_records_equal(g_iter, w_iter)
 
 
 @pytest.mark.parametrize("name", sorted(model_configs()))

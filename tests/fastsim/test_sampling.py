@@ -171,6 +171,121 @@ def test_expectation_all_dead_raises():
 
 
 # ----------------------------------------------------------------------
+# input refusal
+# ----------------------------------------------------------------------
+NAN = float("nan")
+
+COUNT = "must be an integer|must be non-negative"
+PROBABILITY = r"must lie in \[0, 1\]|1-D array"
+
+#: ``case: (message pattern, call)``.
+REFUSED = {
+    "deliver_negative_count": (
+        COUNT, lambda g: deliver_packets(-1, np.ones(2), "random", g)
+    ),
+    "deliver_float_count": (
+        COUNT, lambda g: deliver_packets(2.7, np.ones(2), "random", g)
+    ),
+    "deliver_bool_count": (
+        COUNT, lambda g: deliver_packets(True, np.ones(2), "random", g)
+    ),
+    "deliver_nan_survival": (
+        PROBABILITY, lambda g: deliver_packets(10, np.array([NAN, 1.0]), "random", g)
+    ),
+    "deliver_inf_survival": (
+        PROBABILITY, lambda g: deliver_packets(10, np.array([np.inf]), "random", g)
+    ),
+    "spray_float_count": (COUNT, lambda g: spray_counts(2.5, 4, "random", g)),
+    "spray_float_ports": (COUNT, lambda g: spray_counts(10, 4.0, "random", g)),
+    "spray_bool_count": (COUNT, lambda g: spray_counts(np.bool_(True), 4, "random", g)),
+    "transfer_float_bytes": (
+        COUNT, lambda g: deliver_transfer_bytes(1000.5, 100, np.ones(2), "random", g)
+    ),
+    "transfer_float_mtu": (
+        COUNT, lambda g: deliver_transfer_bytes(1000, 100.0, np.ones(2), "random", g)
+    ),
+    "transfer_nan_survival": (
+        PROBABILITY,
+        lambda g: deliver_transfer_bytes(1000, 100, np.array([1.0, NAN]), "random", g),
+    ),
+    "transfer_above_one": (
+        PROBABILITY,
+        lambda g: deliver_transfer_bytes(1000, 100, np.array([1.5, 1.0]), "random", g),
+    ),
+    "expected_nan_survival": (PROBABILITY, lambda g: expected_arrival_bytes(100, 10, [NAN])),
+    "expected_above_one": (PROBABILITY, lambda g: expected_arrival_bytes(100, 10, [1.5])),
+    "expected_below_zero": (
+        PROBABILITY, lambda g: expected_arrival_bytes(100, 10, [-0.1, 1.0])
+    ),
+    "expected_float_bytes": (COUNT, lambda g: expected_arrival_bytes(100.5, 10, [1.0])),
+    "expected_not_1d": (PROBABILITY, lambda g: expected_arrival_bytes(100, 10, [[1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_public_sampling_api_refuses_bad_inputs(case, frng):
+    """Every public entry refuses a bad count or probability with
+    ``FastSimError`` up front, instead of simulating something else,
+    failing inside numpy, or spinning until it gives up."""
+    match, call = REFUSED[case]
+    with pytest.raises(FastSimError, match=match):
+        call(frng)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: spray_counts(np.int64(10), np.int32(4), "random", g).sum() == 10,
+        lambda g: deliver_packets(np.uint16(10), [1.0, 1.0], "random", g).sum() == 10,
+        lambda g: deliver_transfer_bytes(
+            np.int64(1000), np.int64(100), np.ones(2), "random", g
+        ).sum() == 1000,
+    ],
+)
+def test_numpy_integer_counts_are_accepted(call, frng):
+    assert call(frng)
+
+
+# ----------------------------------------------------------------------
+# the numpy behaviour the lossless path rests on
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("k", [1, 16, 128])
+def test_unit_probability_binomial_draws_one_output_per_nonzero_count(k):
+    """``binomial(counts, ones)`` returns ``counts`` and moves PCG64 by
+    exactly ``count_nonzero(counts)`` outputs, which is what lets a
+    lossless pair advance the stream instead of drawing.  A numpy whose
+    binomial draws differently fails here."""
+    spread = np.random.Generator(np.random.PCG64(k)).multinomial(3 * k, np.full(k, 1 / k))
+    cases = {
+        "spread": spread,
+        "with_zeros": np.where(np.arange(k) % 3 == 0, 0, spread + 1),
+        "all_zero": np.zeros(k, dtype=np.int64),
+        "single": np.eye(1, k, k // 2, dtype=np.int64)[0],
+    }
+    for name, counts in cases.items():
+        drawn = np.random.Generator(np.random.PCG64(99))
+        advanced = np.random.Generator(np.random.PCG64(99))
+        assert np.array_equal(drawn.binomial(counts, np.ones(k)), counts)
+        advanced.bit_generator.advance(int(np.count_nonzero(counts)))
+        assert drawn.bit_generator.state == advanced.bit_generator.state, (
+            f"numpy {np.__version__}: binomial(counts, 1.0) no longer draws one "
+            f"output per non-zero count (k={k}, {name})"
+        )
+        assert drawn.random() == advanced.random()
+
+
+def test_a_buffered_half_word_disables_the_stream_advance(frng):
+    """``advance`` drops a buffered 32-bit half, so a generator holding
+    one (or a generator other than PCG64) keeps the binomial draw."""
+    from repro.fastsim.sampling import _advance_replaces_binomial
+
+    assert _advance_replaces_binomial(frng)
+    frng.integers(10, dtype=np.uint32)  # leaves half of a 64-bit output buffered
+    assert not _advance_replaces_binomial(frng)
+    assert not _advance_replaces_binomial(np.random.Generator(np.random.MT19937(1)))
+
+
+# ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
 @settings(max_examples=50, deadline=None)
