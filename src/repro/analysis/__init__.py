@@ -1,6 +1,6 @@
 """Experiment runner, metrics, and report formatting."""
 
-from .closed_loop import ClosedLoopResult, ClosedLoopStep, run_closed_loop
+from .closed_loop import run_closed_loop, run_fastsim_loop
 from .experiments import (
     BatchResult,
     ExperimentConfig,
@@ -22,11 +22,10 @@ from .sweeps import SweepError, SweepRunner, SweepStats, SweepTask
 __all__ = [
     "BatchResult",
     "CableEvidence",
-    "ClosedLoopResult",
     "incident_report",
     "rank_cables",
-    "ClosedLoopStep",
     "run_closed_loop",
+    "run_fastsim_loop",
     "ConfusionCounts",
     "ExportError",
     "ResultsWriter",

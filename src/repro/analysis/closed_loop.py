@@ -1,72 +1,23 @@
-"""Closed-loop remediation runs: detect -> disable -> recover.
+"""Closed-loop remediation runs on the fast simulator.
 
-Drives the full operator story of the paper's introduction on the fast
-simulator: training iterations run, a silent fault appears, FlowPulse
-detects and localizes it, the remediation engine disables the confirmed
-cable(s) in the control plane, the load model is rebuilt for the
-surviving topology, and training continues with temporal symmetry
+Drives the full operator story of the paper's introduction: training
+iterations run, a silent fault appears, FlowPulse detects and localizes
+it, the shared :class:`~repro.core.remediation.ClosedLoop` disables the
+confirmed cable(s) in the control plane and rebuilds the load model for
+the surviving topology, and training continues with temporal symmetry
 restored — the fault is *routed around* without human involvement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ..collectives.demand import DemandMatrix
-from ..core.detection import DetectionConfig
-from ..core.monitor import FlowPulseMonitor
-from ..core.prediction import AnalyticalPredictor
-from ..core.remediation import (
-    ConfirmationPolicy,
-    RemediationAction,
-    RemediationEngine,
-)
+from ..core.remediation import ClosedLoop, ClosedLoopResult, ConfirmationPolicy
 from ..fastsim.model import FabricModel, simulate_iteration
 from ..simnet.packet import FlowTag
-
-
-@dataclass
-class ClosedLoopStep:
-    """State of one closed-loop training iteration."""
-
-    iteration: int
-    triggered: bool
-    suspected_links: frozenset[str]
-    action: RemediationAction | None
-    disabled_so_far: frozenset[str]
-
-
-@dataclass
-class ClosedLoopResult:
-    """Outcome of a closed-loop run."""
-
-    steps: list[ClosedLoopStep] = field(default_factory=list)
-    actions: list[RemediationAction] = field(default_factory=list)
-
-    @property
-    def detection_iteration(self) -> int | None:
-        for step in self.steps:
-            if step.triggered:
-                return step.iteration
-        return None
-
-    @property
-    def remediation_iteration(self) -> int | None:
-        for step in self.steps:
-            if step.action is not None:
-                return step.iteration
-        return None
-
-    @property
-    def recovered(self) -> bool:
-        """True if monitoring is quiet again after the last remediation."""
-        last_action = self.remediation_iteration
-        if last_action is None:
-            return False
-        tail = [s for s in self.steps if s.iteration > last_action]
-        return bool(tail) and not any(s.triggered for s in tail)
 
 
 def run_closed_loop(
@@ -84,15 +35,29 @@ def run_closed_loop(
 
     ``model`` is the *known* network state (no silent faults).  The
     silent faults become active at ``fault_start_iteration`` and stay
-    until their link is disabled by the remediation engine — at which
-    point routing excludes the cable and the fault is moot.
+    until their link is disabled by the remediation — at which point
+    routing excludes the cable and the fault is moot.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    engine = RemediationEngine(policy=policy or ConfirmationPolicy())
-    known = model  # evolves as cables get disabled
-    monitor = _fresh_monitor(known, demand, threshold)
-    result = ClosedLoopResult()
+    loop = ClosedLoop(
+        demand, model.control(), threshold=threshold, policy=policy, job_id=job_id
+    )
+    return run_fastsim_loop(
+        loop, model, silent_faults, n_iterations, fault_start_iteration, seed
+    )
 
+
+def run_fastsim_loop(
+    loop: ClosedLoop,
+    model: FabricModel,
+    silent_faults: dict[str, float],
+    n_iterations: int,
+    fault_start_iteration: int = 0,
+    seed: int = 0,
+) -> ClosedLoopResult:
+    """:func:`run_closed_loop` for a caller-built ``loop`` whose control
+    plane starts at ``model.known_disabled``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    known = model  # sprays where the loop's control plane lets it
     for iteration in range(n_iterations):
         active_faults = (
             {
@@ -103,39 +68,14 @@ def run_closed_loop(
             if iteration >= fault_start_iteration
             else {}
         )
-        truth = known.with_silent(active_faults)
         records = simulate_iteration(
-            truth, demand, rng, tag=FlowTag(job_id, iteration)
+            known.with_silent(active_faults),
+            loop.demand,
+            rng,
+            tag=FlowTag(loop.job_id, iteration),
         )
-        verdict = monitor.process_iteration(records)
-        action = engine.observe(verdict)
-        if action is not None:
-            # The switch OS takes the cable out of service: update the
-            # control plane and rebuild the load model for the new
-            # (known) topology.
-            known = replace(
-                known,
-                known_disabled=known.known_disabled | action.disabled_links,
-            )
-            monitor = _fresh_monitor(known, demand, threshold)
-            engine.reset_history()
-            result.actions.append(action)
-        result.steps.append(
-            ClosedLoopStep(
-                iteration=iteration,
-                triggered=verdict.triggered,
-                suspected_links=verdict.suspected_links(),
-                action=action,
-                disabled_so_far=known.known_disabled,
-            )
-        )
-    return result
-
-
-def _fresh_monitor(
-    model: FabricModel, demand: DemandMatrix, threshold: float
-) -> FlowPulseMonitor:
-    predictor = AnalyticalPredictor(
-        model.spec, demand, known_disabled=model.known_disabled
-    )
-    return FlowPulseMonitor(predictor, DetectionConfig(threshold=threshold))
+        # Fastsim records carry iteration-index pseudo-times.
+        if loop.observe(iteration, records, iteration, iteration + 1) is not None:
+            known = replace(known, known_disabled=loop.control.routing_excluded)
+    loop.result.iterations_completed = n_iterations
+    return loop.result

@@ -30,11 +30,11 @@ from .analysis import (
     ExperimentConfig,
     format_percent,
     format_table,
-    run_closed_loop,
+    run_fastsim_loop,
     run_trial,
 )
 from .analysis.experiments import build_trial
-from .core import ConfirmationPolicy, roc_curve
+from .core import ClosedLoop, ConfirmationPolicy, roc_curve
 from .scenarios import (
     ChaosConfig,
     FaultEvent,
@@ -46,7 +46,10 @@ from .simnet.faults import DropFault
 from .units import GIB
 
 
-def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
+def _add_fabric_args(
+    parser: argparse.ArgumentParser,
+    predictors: tuple[str, ...] = ("analytical", "simulation", "learned"),
+) -> None:
     parser.add_argument("--leaves", type=int, default=32, help="leaf switches")
     parser.add_argument("--spines", type=int, default=16, help="spine switches")
     parser.add_argument(
@@ -59,11 +62,7 @@ def _add_fabric_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, default=0.01, help="detection threshold")
     parser.add_argument("--iterations", type=int, default=5, help="monitored iterations")
     parser.add_argument("--preexisting", type=int, default=0, help="pre-existing faulty cables")
-    parser.add_argument(
-        "--predictor",
-        choices=("analytical", "simulation", "learned"),
-        default="analytical",
-    )
+    parser.add_argument("--predictor", choices=predictors, default="analytical")
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -373,78 +372,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Fastsim-scale fabric defaults that get swapped for packet-scale ones
-#: when ``--engine simnet`` is selected and the flag was left untouched.
-_SIMNET_DEFAULTS = {
-    "leaves": (32, 8),
-    "spines": (16, 4),
-    "collective_gib": (8.0, 2_000_000 / GIB),
-    "mtu": (1024, 512),
-    "iterations": (5, 8),
-}
-
-
-def _simnet_value(args: argparse.Namespace, name: str):
-    fastsim_default, simnet_default = _SIMNET_DEFAULTS[name]
-    value = getattr(args, name)
-    return simnet_default if value == fastsim_default else value
-
-
-def cmd_closed_loop_simnet(args: argparse.Namespace) -> int:
-    session = _events_session(args)
-    config = SimnetClosedLoopConfig(
-        n_leaves=int(_simnet_value(args, "leaves")),
-        n_spines=int(_simnet_value(args, "spines")),
-        collective_bytes=int(_simnet_value(args, "collective_gib") * GIB),
-        n_iterations=int(_simnet_value(args, "iterations")),
-        mtu=int(_simnet_value(args, "mtu")),
-        threshold=args.threshold,
-        confirm_after=args.confirm_after,
-        seed=args.seed,
-    )
-    fault_link = args.fault_link or f"up:L{config.n_leaves // 2}->S1"
-    result = run_simnet_closed_loop(
-        config,
-        iteration_faults={
-            args.fault_start: [
-                FaultEvent(0, "inject", fault_link, DropFault(args.drop_rate))
-            ]
-        },
-        telemetry=session,
-    )
-    rows = []
-    for step in result.steps:
-        remediation = ""
-        if step.action:
-            remediation = "DISABLED " + ", ".join(sorted(step.action.disabled_links))
-        elif step.vetoed:
-            remediation = "VETOED (would partition)"
-        rows.append(
-            [
-                step.iteration,
-                f"{step.max_score:.4f}",
-                "ALARM" if step.triggered else "",
-                ", ".join(sorted(step.suspected_links)) or "-",
-                remediation,
-            ]
-        )
-    print(
-        format_table(
-            ["iter", "score", "detection", "suspects", "remediation"],
-            rows,
-            title=f"simnet closed loop: {fault_link} drops "
-            f"{format_percent(args.drop_rate)} from iteration {args.fault_start}",
-        )
-    )
-    print(f"\niterations completed: {result.iterations_completed}/{config.n_iterations}")
-    print(f"failed messages: {result.failed_messages}")
-    if result.stalled:
-        print(f"STALLED: {result.stall.summary()}")
-    print(f"recovered (quiet after remediation): {result.recovered}")
-    _write_events(args, session)
-    return 0 if result.recovered and not result.stalled else 1
-
-
 def _events_session(args: argparse.Namespace):
     """A TelemetrySession when ``--events-out`` was requested."""
     if args.events_out is None:
@@ -575,50 +502,80 @@ def cmd_greylab(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_loop(args: argparse.Namespace) -> int:
-    if args.engine == "simnet":
-        return cmd_closed_loop_simnet(args)
-    if args.events_out is not None:
-        # The fastsim loop has no telemetry plumbing; only the
-        # packet-level engine produces a forensics event stream.
-        print(
-            "error: --events-out requires --engine simnet",
-            file=sys.stderr,
-        )
-        return 2
-    config = _config(args, args.drop_rate)
-    setup = build_trial(config, base_seed=args.seed, trial=0)
-    result = run_closed_loop(
-        setup.model,
-        setup.demand,
-        {setup.fault_link: args.drop_rate},
-        n_iterations=args.iterations,
-        fault_start_iteration=args.fault_start,
-        threshold=args.threshold,
-        policy=ConfirmationPolicy(confirm_after=args.confirm_after, window=4),
-        seed=args.seed,
+    # Fabric flags left unset take the engine's own defaults: paper
+    # scale for fastsim, packet scale for simnet.
+    given = dict(
+        n_leaves=args.leaves, n_spines=args.spines, mtu=args.mtu, n_iterations=args.iterations
     )
+    if args.collective_gib is not None:
+        given["collective_bytes"] = int(args.collective_gib * GIB)
+    base = SimnetClosedLoopConfig() if args.engine == "simnet" else ExperimentConfig()
+    config = replace(
+        base,
+        threshold=args.threshold,
+        **{name: value for name, value in given.items() if value is not None},
+    )
+    session = _events_session(args)
+    if args.engine == "simnet":
+        config = replace(
+            config, confirm_after=args.confirm_after, predictor=args.predictor, seed=args.seed
+        )
+        fault_link = args.fault_link or f"up:L{config.n_leaves // 2}->S1"
+        fault = FaultEvent(0, "inject", fault_link, DropFault(args.drop_rate))
+        result = run_simnet_closed_loop(
+            config, iteration_faults={args.fault_start: [fault]}, telemetry=session
+        )
+    else:
+        config = replace(config, drop_rate=args.drop_rate, n_preexisting=args.preexisting)
+        setup = build_trial(config, base_seed=args.seed, trial=0)
+        fault_link = args.fault_link or setup.fault_link
+        loop = ClosedLoop(
+            setup.demand,
+            setup.model.control(),
+            threshold=args.threshold,
+            policy=ConfirmationPolicy(confirm_after=args.confirm_after),
+            predictor=args.predictor,
+            telemetry=session,
+        )
+        result = run_fastsim_loop(
+            loop,
+            setup.model,
+            {fault_link: args.drop_rate},
+            config.n_iterations,
+            args.fault_start,
+            args.seed,
+        )
     rows = []
     for step in result.steps:
+        remediation = ""
+        if step.action:
+            remediation = "DISABLED " + ", ".join(sorted(step.action.disabled_links))
+        elif step.vetoed:
+            remediation = "VETOED (would partition)"
         rows.append(
             [
                 step.iteration,
+                f"{step.max_score:.4f}",
                 "ALARM" if step.triggered else "",
                 ", ".join(sorted(step.suspected_links)) or "-",
-                "DISABLED " + ", ".join(sorted(step.action.disabled_links))
-                if step.action
-                else "",
+                remediation,
             ]
         )
     print(
         format_table(
-            ["iter", "detection", "suspects", "remediation"],
+            ["iter", "score", "detection", "suspects", "remediation"],
             rows,
-            title=f"closed loop: silent fault {setup.fault_link} at "
+            title=f"{args.engine} closed loop: {fault_link} drops "
             f"{format_percent(args.drop_rate)} from iteration {args.fault_start}",
         )
     )
-    print(f"\nrecovered (quiet after remediation): {result.recovered}")
-    return 0 if result.recovered else 1
+    print(f"\niterations completed: {result.iterations_completed}/{config.n_iterations}")
+    print(f"failed messages: {result.failed_messages}")
+    if result.stalled:
+        print(f"STALLED: {result.stall.summary()}")
+    print(f"recovered (quiet after remediation): {result.recovered}")
+    _write_events(args, session)
+    return 0 if result.recovered and not result.stalled else 1
 
 
 # ----------------------------------------------------------------------
@@ -1156,13 +1113,19 @@ def build_parser() -> argparse.ArgumentParser:
     loop = sub.add_parser(
         "closed-loop",
         help="detect -> localize -> disable -> recover",
-        description="Run the detect/localize/disable/recover loop. With "
-        "--engine simnet the loop runs on the packet-level simulator "
-        "(faults hit real packets, remediation reroutes a live fabric); "
-        "fabric flags left at their fastsim-scale defaults are swapped "
-        "for packet-scale ones (8 leaves, 4 spines, ~2 MB, 8 iterations).",
+        description="Run the detect/localize/disable/recover loop on either "
+        "simulator; both run the same loop, veto included. With --engine "
+        "simnet faults hit real packets and remediation reroutes a live "
+        "fabric. Fabric flags left unset take the engine's defaults: "
+        "32x16, 8 GiB, MTU 1024, 5 iterations for fastsim; 8x4, ~2 MB, "
+        "MTU 512, 8 iterations for simnet.",
     )
-    _add_fabric_args(loop)
+    # The loop rebuilds an analytical or learned baseline after each
+    # remediation; it has no simulation-predictor rebuild.
+    _add_fabric_args(loop, predictors=("analytical", "learned"))
+    loop.set_defaults(
+        leaves=None, spines=None, collective_gib=None, mtu=None, iterations=None
+    )
     loop.add_argument("--drop-rate", type=float, default=0.05)
     loop.add_argument("--fault-start", type=int, default=1)
     loop.add_argument("--confirm-after", type=int, default=2)
@@ -1175,14 +1138,15 @@ def build_parser() -> argparse.ArgumentParser:
     loop.add_argument(
         "--fault-link",
         default=None,
-        help="link to fault with --engine simnet (e.g. up:L2->S1)",
+        help="link to fault (e.g. up:L2->S1); default: a seeded random "
+        "cable on fastsim, up:L<leaves/2>->S1 on simnet",
     )
     loop.add_argument(
         "--events-out",
         metavar="PATH",
         default=None,
         help="write the loop's forensics event stream (audit trail, "
-        "remediations, packet drops) as JSONL; requires --engine simnet",
+        "remediations; packet drops with --engine simnet) as JSONL",
     )
     loop.set_defaults(func=cmd_closed_loop)
 

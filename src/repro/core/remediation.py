@@ -10,10 +10,14 @@ monitor:
    confirmed faults (a cable must be implicated in ``confirm_after`` of
    the last ``window`` monitored iterations — one noisy iteration never
    takes a link out of service).
-2. :class:`RemediationEngine` disables the confirmed cable in the
-   control plane (both directions, as a switch OS would), rebuilds the
-   load model so temporal symmetry is re-established over the surviving
-   links, and keeps monitoring.
+2. :class:`RemediationEngine` turns a confirmed cable into an action
+   covering both directions of the cable, as a switch OS would.
+3. :class:`ClosedLoop` runs the whole loop for one monitored job on any
+   substrate: it monitors each finished iteration, vetoes an action
+   that would partition the fabric, applies the rest to the control
+   plane, and rebuilds the load model so temporal symmetry is
+   re-established over the surviving links.  The fast simulator and
+   the packet-level simulator both drive this one class.
 
 Disabling on suspicion is deliberately conservative: when localization
 narrows a deficit to two candidate cables (the single-sender ring case,
@@ -26,11 +30,18 @@ draining hardware.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
-from ..topology.graph import down_link, parse_fabric_link, up_link
-from .monitor import IterationVerdict
+from ..collectives.demand import DemandMatrix
+from ..simnet.counters import IterationRecord
+from ..topology.graph import ControlPlane, down_link, parse_fabric_link, up_link
+from .detection import DetectionConfig
+from .monitor import FlowPulseMonitor, IterationVerdict
+from .prediction import AnalyticalPredictor, LearnedPredictor
+
+if TYPE_CHECKING:
+    from ..collectives.schedule import StallReport
 
 
 class RemediationError(RuntimeError):
@@ -168,3 +179,205 @@ class RemediationEngine:
     def reset_history(self) -> None:
         """Clear the evidence window (e.g. after the model is rebuilt)."""
         self.history.clear()
+
+
+@dataclass(frozen=True)
+class ClosedLoopStep:
+    """One monitored iteration of a closed-loop run, on any substrate."""
+
+    iteration: int
+    start_ns: int
+    end_ns: int
+    triggered: bool
+    max_score: float
+    suspected_links: frozenset[str]
+    action: RemediationAction | None  # applied at this iteration's end
+    vetoed: bool  # action confirmed but withheld (would partition)
+    disabled_so_far: frozenset[str]
+
+
+@dataclass
+class ClosedLoopResult:
+    """Outcome of a closed-loop run.
+
+    The loop records steps and actions; the substrate records how far
+    its collective got (only a packet-level one can stall or give up).
+    """
+
+    threshold: float
+    steps: list[ClosedLoopStep] = field(default_factory=list)
+    actions: list[RemediationAction] = field(default_factory=list)
+    vetoed_actions: list[RemediationAction] = field(default_factory=list)
+    #: ``(time ns, FaultEvent)`` pairs, in firing order.
+    applied_fault_events: list[tuple] = field(default_factory=list)
+    stall: StallReport | None = None
+    failed_messages: int = 0
+    iterations_completed: int = 0
+
+    @property
+    def detection_iteration(self) -> int | None:
+        return next((s.iteration for s in self.steps if s.triggered), None)
+
+    @property
+    def remediation_iteration(self) -> int | None:
+        return next((s.iteration for s in self.steps if s.action is not None), None)
+
+    @property
+    def stalled(self) -> bool:
+        return self.stall is not None
+
+    def post_remediation_steps(self) -> list[ClosedLoopStep]:
+        last = self.remediation_iteration
+        if last is None:
+            return []
+        return [s for s in self.steps if s.iteration > last]
+
+    @property
+    def post_remediation_max_score(self) -> float:
+        return max(
+            (s.max_score for s in self.post_remediation_steps()), default=0.0
+        )
+
+    @property
+    def recovered(self) -> bool:
+        """Symmetry restored: monitored iterations after the last
+        remediation exist, are quiet, and sit under the threshold."""
+        tail = self.post_remediation_steps()
+        return (
+            bool(tail)
+            and not any(s.triggered for s in tail)
+            and self.post_remediation_max_score < self.threshold
+        )
+
+
+class ClosedLoop:
+    """detect -> confirm -> veto/apply -> rebaseline for one monitored job.
+
+    The substrate runs the collective, hands each finished iteration's
+    leaf records to :meth:`observe`, and routes on ``control``, the
+    control plane the loop remediates.  ``remediation="reroute"`` only
+    removes a cable from the spray candidate set (R2CCL-style) instead
+    of taking it out of service; ``predictor="learned"`` re-measures
+    the baseline over ``warmup_iterations`` (paper §5.2) instead of
+    using the analytical even split.
+    """
+
+    def __init__(
+        self,
+        demand: DemandMatrix,
+        control: ControlPlane,
+        *,
+        threshold: float = 0.01,
+        policy: ConfirmationPolicy | None = None,
+        predictor: str = "analytical",
+        warmup_iterations: int = 2,
+        remediation: str = "disable",
+        job_id: int = 1,
+        telemetry=None,
+    ) -> None:
+        self.demand = demand
+        self.control = control
+        self.threshold = threshold
+        self.predictor = predictor
+        self.warmup_iterations = warmup_iterations
+        self.remediation = remediation
+        self.job_id = job_id
+        self.telemetry = telemetry
+        self.engine = RemediationEngine(policy=policy or ConfirmationPolicy())
+        self.result = ClosedLoopResult(threshold=threshold)
+        self.rebaseline()
+
+    def rebaseline(self) -> None:
+        """Start a fresh monitor on the current routing state."""
+        if self.predictor == "learned":
+            predictor: AnalyticalPredictor | LearnedPredictor = LearnedPredictor(
+                warmup_iterations=self.warmup_iterations,
+                deviation_trigger=self.threshold,
+            )
+        else:
+            # The even split follows where *new* traffic can go:
+            # rerouted-around links shift load exactly like disabled
+            # ones, so the model sees the union.
+            predictor = AnalyticalPredictor(
+                self.control.spec,
+                self.demand,
+                known_disabled=self.control.routing_excluded,
+            )
+        self.monitor = FlowPulseMonitor(
+            predictor,
+            DetectionConfig(threshold=self.threshold),
+            telemetry=self.telemetry,
+        )
+
+    def observe(
+        self,
+        iteration: int,
+        records: list[IterationRecord],
+        start_ns: int,
+        end_ns: int,
+    ) -> RemediationAction | None:
+        """Monitor one finished iteration; returns the action applied
+        at its end, if any."""
+        verdict = self.monitor.process_iteration(records)
+        action = self.engine.observe(verdict)
+        applied = action is not None and self.remediate(action, end_ns)
+        self.result.steps.append(
+            ClosedLoopStep(
+                iteration=iteration,
+                start_ns=start_ns,
+                end_ns=end_ns,
+                triggered=verdict.triggered,
+                max_score=verdict.max_score,
+                suspected_links=verdict.suspected_links(),
+                action=action if applied else None,
+                vetoed=action is not None and not applied,
+                disabled_so_far=self.control.routing_excluded,
+            )
+        )
+        return action if applied else None
+
+    def remediate(self, action: RemediationAction, time_ns: int) -> bool:
+        """Apply one confirmed action, or veto it; True if applied.
+
+        The action is vetoed if it would leave any leaf pair the
+        collective depends on without a spray candidate: the switch OS
+        refuses to take the last path out of service, and reroute-only
+        remediation refuses to steer all new traffic off it.  An applied
+        action invalidates the baseline and the evidence window, which
+        both describe the old topology.
+        """
+        links = action.disabled_links
+        take_out = (
+            ControlPlane.exclude_from_spray
+            if self.remediation == "reroute"
+            else ControlPlane.disable
+        )
+        candidate = replace(self.control)
+        take_out(candidate, *links)
+        applied = all(
+            candidate.reachable(src, dst)
+            for src, dst in self.demand.leaf_pairs(self.control.spec)
+        )
+        if applied:
+            take_out(self.control, *links)
+        if self.telemetry is not None:
+            # One payload shape for both outcomes, so the forensics
+            # pipeline reads one remediation stream split on ``outcome``.
+            self.telemetry.emit(
+                "closedloop.remediation" if applied else "closedloop.veto",
+                time_ns=time_ns,
+                job_id=self.job_id,
+                iteration=action.iteration,
+                outcome="applied" if applied else "vetoed",
+                mode=self.remediation,
+                links=sorted(links),
+            )
+            if applied:
+                self.telemetry.counter("closedloop.remediations").inc()
+        if not applied:
+            self.result.vetoed_actions.append(action)
+            return False
+        self.result.actions.append(action)
+        self.rebaseline()
+        self.engine.reset_history()
+        return True

@@ -40,9 +40,8 @@ from ..core.monitor import FlowPulseMonitor
 from ..core.prediction import AnalyticalPredictor
 from ..fleet.codec import FPREC_VERSION, JobConfig, RecordBatch, write_fprec
 from ..simnet.congestion import CongestionConfig
-from ..simnet.counters import IterationRecord
+from ..simnet.counters import IterationRecord, finalize_iteration
 from ..simnet.network import Network
-from ..simnet.packet import FlowTag
 from ..topology.graph import ClosSpec
 from ..workloads.placement import place_jobs
 
@@ -234,19 +233,9 @@ class CotenancyDriver:
         return on_iteration_done
 
     def _finish_job_iteration(self, job_id: int, iteration: int, now: int) -> None:
-        records = []
-        for leaf, collector in enumerate(self._collectors[job_id]):
-            record = collector.finalize(now)
-            if record is None or record.tag.iteration != iteration:
-                record = IterationRecord(
-                    leaf=leaf,
-                    tag=FlowTag(job_id, iteration),
-                    port_bytes={},
-                    sender_bytes={},
-                    start_ns=self._iteration_starts[job_id],
-                    end_ns=now,
-                )
-            records.append(record)
+        records = finalize_iteration(
+            self._collectors[job_id], iteration, self._iteration_starts[job_id], now
+        )
         verdict = self._monitors[job_id].process_iteration(records)
         outcome = self.result.jobs[job_id]
         outcome.records.append(records)

@@ -35,8 +35,6 @@ from .chaos import (
 from .closed_loop import (
     SimnetClosedLoopConfig,
     SimnetClosedLoopDriver,
-    SimnetClosedLoopResult,
-    SimnetIterationStep,
     run_simnet_closed_loop,
 )
 from .script import (
@@ -58,8 +56,6 @@ __all__ = [
     "ScheduledScript",
     "SimnetClosedLoopConfig",
     "SimnetClosedLoopDriver",
-    "SimnetClosedLoopResult",
-    "SimnetIterationStep",
     "apply_fault_event",
     "check_invariants",
     "generate_scenario",

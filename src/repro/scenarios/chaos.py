@@ -30,6 +30,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
+from ..core.remediation import ClosedLoopResult
 from ..simnet.congestion import CongestionConfig
 from ..simnet.faults import (
     ConditionalFault,
@@ -40,7 +41,7 @@ from ..simnet.faults import (
     LoadDependentFault,
 )
 from ..topology.graph import down_link, up_link
-from .closed_loop import SimnetClosedLoopConfig, SimnetClosedLoopResult, SimnetClosedLoopDriver
+from .closed_loop import SimnetClosedLoopConfig, SimnetClosedLoopDriver
 from .script import FaultEvent
 
 #: Scenario families the generator draws from.  ``healthy`` keeps the
@@ -151,7 +152,7 @@ class ChaosOutcome:
     """Result of running one scenario through the closed loop."""
 
     scenario: Scenario
-    result: SimnetClosedLoopResult
+    result: ClosedLoopResult
     violations: list[str] = field(default_factory=list)
     digest: str = ""
 
@@ -366,7 +367,7 @@ def generate_scenario(seed: int, chaos: ChaosConfig | None = None) -> Scenario:
 # ----------------------------------------------------------------------
 def check_invariants(
     scenario: Scenario,
-    result: SimnetClosedLoopResult,
+    result: ClosedLoopResult,
     driver: SimnetClosedLoopDriver,
     chaos: ChaosConfig | None = None,
 ) -> list[str]:
@@ -530,7 +531,7 @@ def check_invariants(
     return violations
 
 
-def outcome_digest(result: SimnetClosedLoopResult) -> str:
+def outcome_digest(result: ClosedLoopResult) -> str:
     """Stable fingerprint of everything observable about a run."""
     parts: list[str] = [
         f"completed={result.iterations_completed}",

@@ -3,12 +3,11 @@
 Runs the paper's operator story end to end on :mod:`repro.simnet`: a
 staged ring collective executes iteration by iteration; each finished
 iteration's per-leaf :class:`~repro.simnet.counters.IterationRecord`
-batch flows through :class:`~repro.core.monitor.FlowPulseMonitor` and
-:class:`~repro.core.remediation.RemediationEngine` *inside the run*;
-confirmed faults are disabled in the live control plane between
-iterations; the analytical baseline is rebuilt for the surviving
-topology; and the tail of the run verifies temporal symmetry is back
-under the detection threshold.
+batch flows through the shared :class:`~repro.core.remediation.ClosedLoop`
+*inside the run* (the same loop the fast simulator drives); confirmed
+faults are disabled in the live control plane between iterations; the
+baseline is rebuilt for the surviving topology; and the tail of the run
+verifies temporal symmetry is back under the detection threshold.
 
 Faults arrive either on a wall-clock timeline (a
 :class:`~repro.scenarios.script.FaultScript` scheduled on the engine)
@@ -25,25 +24,22 @@ applied.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..collectives.demand import DemandMatrix
 from ..collectives.ring import locality_optimized_ring, ring_reduce_scatter_stages
-from ..collectives.schedule import StagedCollectiveRunner, StallReport
-from ..core.detection import DetectionConfig
-from ..core.monitor import FlowPulseMonitor, IterationVerdict
-from ..core.prediction.learning import LearnedPredictor
-from ..core.prediction import AnalyticalPredictor
+from ..collectives.schedule import StagedCollectiveRunner
 from ..core.remediation import (
+    ClosedLoop,
+    ClosedLoopResult,
     ConfirmationPolicy,
     RemediationAction,
-    RemediationEngine,
 )
 from ..simnet.congestion import CongestionConfig
-from ..simnet.counters import IterationRecord
+from ..simnet.counters import finalize_iteration
 from ..simnet.network import Network
-from ..simnet.packet import FlowTag, Priority
-from ..topology.graph import ClosSpec, ControlPlane
+from ..simnet.packet import Priority
+from ..topology.graph import ClosSpec
 from ..workloads.placement import place_jobs
 from .script import FaultEvent, FaultScript, apply_fault_event
 
@@ -130,83 +126,13 @@ class SimnetClosedLoopConfig:
         )
 
 
-@dataclass(frozen=True)
-class SimnetIterationStep:
-    """One monitored iteration of the packet-level closed loop."""
-
-    iteration: int
-    start_ns: int
-    end_ns: int
-    triggered: bool
-    max_score: float
-    suspected_links: frozenset[str]
-    action: RemediationAction | None
-    vetoed: bool  # action confirmed but withheld (would partition)
-    disabled_so_far: frozenset[str]
-
-
-@dataclass
-class SimnetClosedLoopResult:
-    """Outcome of a packet-level closed-loop run."""
-
-    config: SimnetClosedLoopConfig
-    steps: list[SimnetIterationStep] = field(default_factory=list)
-    actions: list[RemediationAction] = field(default_factory=list)
-    vetoed_actions: list[RemediationAction] = field(default_factory=list)
-    applied_fault_events: list[tuple[int, FaultEvent]] = field(default_factory=list)
-    stall: StallReport | None = None
-    failed_messages: int = 0
-    iterations_completed: int = 0
-
-    @property
-    def detection_iteration(self) -> int | None:
-        for step in self.steps:
-            if step.triggered:
-                return step.iteration
-        return None
-
-    @property
-    def remediation_iteration(self) -> int | None:
-        for step in self.steps:
-            if step.action is not None:
-                return step.iteration
-        return None
-
-    @property
-    def stalled(self) -> bool:
-        return self.stall is not None
-
-    def post_remediation_steps(self) -> list[SimnetIterationStep]:
-        last = self.remediation_iteration
-        if last is None:
-            return []
-        return [s for s in self.steps if s.iteration > last]
-
-    @property
-    def post_remediation_max_score(self) -> float:
-        return max(
-            (s.max_score for s in self.post_remediation_steps()), default=0.0
-        )
-
-    @property
-    def recovered(self) -> bool:
-        """Symmetry restored: monitored iterations after the last
-        remediation exist, are quiet, and sit under the threshold."""
-        tail = self.post_remediation_steps()
-        return (
-            bool(tail)
-            and not any(s.triggered for s in tail)
-            and self.post_remediation_max_score < self.config.threshold
-        )
-
-
 class SimnetClosedLoopDriver:
-    """Wires collective, collectors, monitor, and remediation together.
+    """Wires collective, collectors and the shared closed loop together.
 
-    The driver owns the per-iteration boundary logic: finalize every
-    leaf's measurement window, run detection + localization, feed the
-    remediation engine, apply (or veto) confirmed disables, rebuild the
-    baseline, and apply any iteration-keyed fault events for the next
+    At each iteration boundary the driver finalizes every leaf's
+    measurement window, hands the records to the loop (which detects,
+    confirms, vetoes or applies, and rebaselines on the live control
+    plane), and applies any iteration-keyed fault events for the next
     iteration.  All of it runs inside the engine via the runner's
     ``on_iteration_done`` hook, exactly like a switch-local agent would.
     """
@@ -219,7 +145,6 @@ class SimnetClosedLoopDriver:
         telemetry=None,
     ) -> None:
         self.config = config
-        self.telemetry = telemetry
         spec = config.spec()
         self.network = Network(
             spec,
@@ -275,53 +200,38 @@ class SimnetClosedLoopDriver:
                     stall_timeout_ns=config.stall_timeout_ns,
                 )
             )
-        self.engine = RemediationEngine(
+        self.loop = ClosedLoop(
+            self.demand,
+            self.network.control,
+            threshold=config.threshold,
             policy=ConfirmationPolicy(
                 confirm_after=config.confirm_after, window=config.window
-            )
+            ),
+            predictor=config.predictor,
+            warmup_iterations=config.warmup_iterations,
+            remediation=config.remediation,
+            job_id=config.job_id,
+            telemetry=telemetry,
         )
-        self.monitor = self._fresh_monitor()
-        self.result = SimnetClosedLoopResult(config=config)
+        self.result = self.loop.result
         self.scheduled_script = script.schedule(self.network) if script else None
         self.iteration_faults = defaultdict(list)
         for iteration, events in (iteration_faults or {}).items():
             self.iteration_faults[iteration].extend(events)
-        self._iteration_starts: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    def _fresh_monitor(self) -> FlowPulseMonitor:
-        if self.config.predictor == "learned":
-            # Fresh warmup against the surviving topology: the old
-            # baseline embeds the pre-remediation routing.
-            predictor: AnalyticalPredictor | LearnedPredictor = LearnedPredictor(
-                warmup_iterations=self.config.warmup_iterations,
-                deviation_trigger=self.config.threshold,
-            )
-        else:
-            # The analytical model must follow where *new* traffic can
-            # go: spray-excluded (rerouted-around) links shift load
-            # exactly like disabled ones, so the predictor sees the
-            # union.
-            predictor = AnalyticalPredictor(
-                self.config.spec(),
-                self.demand,
-                known_disabled=self.network.control.routing_excluded,
-            )
-        return FlowPulseMonitor(
-            predictor,
-            DetectionConfig(threshold=self.config.threshold),
-            telemetry=self.telemetry,
-        )
+        self._iteration_start = 0
 
     def _apply_iteration_faults(self, iteration: int) -> None:
         for event in self.iteration_faults.get(iteration, ()):
             apply_fault_event(self.network, event)
             self.result.applied_fault_events.append((self.network.now, event))
 
+    def _apply_action(self, action: RemediationAction) -> bool:
+        """The shared loop's veto/apply, stamped with the engine clock."""
+        return self.loop.remediate(action, self.network.now)
+
     # ------------------------------------------------------------------
-    def run(self) -> SimnetClosedLoopResult:
+    def run(self) -> ClosedLoopResult:
         self._apply_iteration_faults(0)
-        self._iteration_starts[0] = 0
         for runner in self.background_runners:
             runner.start()
         self.runner.run(raise_on_stall=False)
@@ -338,125 +248,15 @@ class SimnetClosedLoopDriver:
             self.scheduled_script.cancel()
         return result
 
-    # ------------------------------------------------------------------
-    # Iteration boundary (engine callback)
-    # ------------------------------------------------------------------
     def _on_iteration_done(self, iteration: int, now: int) -> None:
-        records = self._finalize_records(iteration, now)
-        verdict = self.monitor.process_iteration(records)
-        action = self.engine.observe(verdict)
-        vetoed = False
-        if action is not None:
-            vetoed = not self._apply_action(action)
-            if vetoed:
-                self.result.vetoed_actions.append(action)
-            else:
-                self.result.actions.append(action)
-                # The baseline is rebuilt for the surviving topology;
-                # old evidence refers to the dead model.
-                self.monitor = self._fresh_monitor()
-                self.engine.reset_history()
-        self._record_step(iteration, now, verdict, action, vetoed)
+        """Iteration boundary (engine callback): hand the finished
+        iteration to the loop, then stage the next one's faults."""
+        records = finalize_iteration(
+            self.collectors, iteration, self._iteration_start, now
+        )
+        self.loop.observe(iteration, records, self._iteration_start, now)
         self._apply_iteration_faults(iteration + 1)
-        self._iteration_starts[iteration + 1] = now
-
-    def _finalize_records(
-        self, iteration: int, now: int
-    ) -> list[IterationRecord]:
-        """Close every leaf's measurement window for this iteration.
-
-        Leaves that saw no tagged traffic (all their senders gave up)
-        yield an explicit empty record so the detector can flag the
-        missing volume instead of never being consulted.
-        """
-        records = []
-        for leaf, collector in enumerate(self.collectors):
-            record = collector.finalize(now)
-            if record is None or record.tag.iteration != iteration:
-                record = IterationRecord(
-                    leaf=leaf,
-                    tag=FlowTag(self.config.job_id, iteration),
-                    port_bytes={},
-                    sender_bytes={},
-                    start_ns=self._iteration_starts.get(iteration, now),
-                    end_ns=now,
-                )
-            records.append(record)
-        return records
-
-    def _apply_action(self, action: RemediationAction) -> bool:
-        """Remediate the confirmed cables in the live control plane.
-
-        In ``disable`` mode the cables are taken out of service; in
-        ``reroute`` mode they are only removed from the spray candidate
-        set (the link stays up).  Either way the action is vetoed
-        (returns False) if it would leave any leaf pair the collective
-        depends on without a spray candidate — the switch OS refuses to
-        take the last path out of service, and reroute-only remediation
-        refuses to steer all new traffic off the last path.
-        """
-        reroute = self.config.remediation == "reroute"
-        candidate = ControlPlane(
-            self.config.spec(),
-            known_disabled=self.network.control.known_disabled
-            | (frozenset() if reroute else action.disabled_links),
-            spray_excluded=self.network.control.spray_excluded
-            | (action.disabled_links if reroute else frozenset()),
-        )
-        for src_leaf, dst_leaf in self.demand.leaf_pairs(self.config.spec()):
-            if not candidate.reachable(src_leaf, dst_leaf):
-                if self.telemetry is not None:
-                    # Same payload shape as the applied event so the
-                    # forensics pipeline reads one remediation stream
-                    # and splits it on ``outcome``.
-                    self.telemetry.emit(
-                        "closedloop.veto",
-                        time_ns=self.network.now,
-                        job_id=self.config.job_id,
-                        iteration=action.iteration,
-                        outcome="vetoed",
-                        mode=self.config.remediation,
-                        links=sorted(action.disabled_links),
-                    )
-                return False
-        if reroute:
-            self.network.control.exclude_from_spray(*action.disabled_links)
-        else:
-            self.network.control.disable(*action.disabled_links)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "closedloop.remediation",
-                time_ns=self.network.now,
-                job_id=self.config.job_id,
-                iteration=action.iteration,
-                outcome="applied",
-                mode=self.config.remediation,
-                links=sorted(action.disabled_links),
-            )
-            self.telemetry.counter("closedloop.remediations").inc()
-        return True
-
-    def _record_step(
-        self,
-        iteration: int,
-        now: int,
-        verdict: IterationVerdict,
-        action: RemediationAction | None,
-        vetoed: bool,
-    ) -> None:
-        self.result.steps.append(
-            SimnetIterationStep(
-                iteration=iteration,
-                start_ns=self._iteration_starts.get(iteration, 0),
-                end_ns=now,
-                triggered=verdict.triggered,
-                max_score=verdict.max_score,
-                suspected_links=verdict.suspected_links(),
-                action=None if vetoed else action,
-                vetoed=vetoed,
-                disabled_so_far=self.network.control.routing_excluded,
-            )
-        )
+        self._iteration_start = now
 
 
 def run_simnet_closed_loop(
@@ -464,7 +264,7 @@ def run_simnet_closed_loop(
     script: FaultScript | None = None,
     iteration_faults: dict[int, list[FaultEvent]] | None = None,
     telemetry=None,
-) -> SimnetClosedLoopResult:
+) -> ClosedLoopResult:
     """Run the full packet-level closed loop; never raises for fabric
     faults — crashes are reserved for driver misconfiguration."""
     driver = SimnetClosedLoopDriver(

@@ -121,6 +121,31 @@ class CollectiveCollector:
         return None if self._current is None else self._current.iteration
 
 
+def finalize_iteration(
+    collectors: list[CollectiveCollector], iteration: int, start_ns: int, now: int
+) -> list[IterationRecord]:
+    """Close every leaf's measurement window for ``iteration``.
+
+    Leaves that saw no tagged traffic (all their senders gave up) yield
+    an explicit empty record so the detector can flag the missing volume
+    instead of never being consulted.
+    """
+    records = []
+    for leaf, collector in enumerate(collectors):
+        record = collector.finalize(now)
+        if record is None or record.tag.iteration != iteration:
+            record = IterationRecord(
+                leaf=leaf,
+                tag=FlowTag(collector.job_id, iteration),
+                port_bytes={},
+                sender_bytes={},
+                start_ns=start_ns,
+                end_ns=now,
+            )
+        records.append(record)
+    return records
+
+
 @dataclass
 class PortCounters:
     """Plain per-port byte/packet counters, as a real switch ASIC keeps.

@@ -96,3 +96,24 @@ def test_immediate_fault_with_aggressive_policy():
 def test_steps_cover_every_iteration():
     result = run_closed_loop(MODEL, DEMAND, {}, n_iterations=4, seed=6)
     assert [s.iteration for s in result.steps] == [0, 1, 2, 3]
+
+
+def test_partitioning_remediation_is_vetoed():
+    """Confirming both cables that leave leaf 0 and leaf 1 on different
+    spines would partition the pair: the loop withholds the action and
+    keeps running on the unchanged topology instead of crashing."""
+    spec = ClosSpec(n_leaves=4, n_spines=2, hosts_per_leaf=1)
+    demand = ring_demand(locality_optimized_ring(spec.n_hosts), 64 * MIB)
+    result = run_closed_loop(
+        FabricModel(spec, mtu=1024),
+        demand,
+        {down_link(0, 1): 0.2, down_link(1, 0): 0.2},
+        n_iterations=4,
+        policy=ConfirmationPolicy(confirm_after=1, window=1),
+        seed=1,
+    )
+    assert result.actions == []
+    assert len(result.vetoed_actions) == 1
+    assert result.steps[0].vetoed and result.steps[0].action is None
+    assert all(step.disabled_so_far == frozenset() for step in result.steps)
+    assert len(result.steps) == 4

@@ -456,13 +456,78 @@ def test_chaos_events_out_brackets_scenarios(chaos_events_path):
     assert all("ok" in e and "digest" in e for e in ends)
 
 
-def test_closed_loop_events_out_requires_simnet(tmp_path, capsys):
+def test_closed_loop_fastsim_events_out_records_remediation(tmp_path, capsys):
+    from repro.telemetry import read_jsonl
+
+    path = tmp_path / "loop.jsonl"
     code = main(
-        ["closed-loop", *SMALL, "--events-out", str(tmp_path / "e.jsonl")]
+        [
+            "closed-loop",
+            *SMALL,
+            "--iterations", "6",
+            "--fault-link", "down:S2->L5",
+            "--events-out", str(path),
+        ]
     )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--engine simnet" in err
+    capsys.readouterr()
+    assert code == 0
+    events = read_jsonl(path)
+    remediations = [e for e in events if e["type"] == "closedloop.remediation"]
+    assert remediations and remediations[0]["outcome"] == "applied"
+    assert "down:S2->L5" in remediations[0]["links"]
+
+
+#: A packet-scale closed loop small enough for a unit test.
+SIMNET_SMALL = [
+    "--engine", "simnet",
+    "--leaves", "4",
+    "--spines", "3",
+    "--collective-gib", str(300_000 / (1 << 30)),
+    "--mtu", "512",
+    "--threshold", "0.03",
+    "--drop-rate", "0.5",
+    "--fault-link", "up:L1->S1",
+]
+
+
+def test_closed_loop_simnet_keeps_typed_fabric_values(capsys):
+    # 5 is also the fastsim default; it must not be swapped for
+    # simnet's own default of 8.
+    code = main(["closed-loop", *SIMNET_SMALL, "--iterations", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "iterations completed: 5/5" in out
+    assert "DISABLED" in out
+
+
+def test_closed_loop_fastsim_honours_fault_link(capsys):
+    code = main(
+        ["closed-loop", *SMALL, "--iterations", "6", "--fault-link", "up:L2->S1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "fastsim closed loop: up:L2->S1 drops" in out
+    disabled = [line for line in out.splitlines() if "DISABLED" in line]
+    assert disabled and "up:L2->S1" in disabled[0]
+
+
+@pytest.mark.parametrize("engine_args", [SMALL, SIMNET_SMALL], ids=["fastsim", "simnet"])
+def test_closed_loop_honours_predictor(engine_args, capsys):
+    # A fault present from iteration 0: the analytical even split flags
+    # it, while the learned baseline measures the faulty fabric as
+    # normal and never alarms (the documented caveat).
+    run = ["closed-loop", *engine_args, "--iterations", "6", "--fault-start", "0"]
+    assert main([*run, "--predictor", "analytical"]) == 0
+    assert "ALARM" in capsys.readouterr().out
+    assert main([*run, "--predictor", "learned"]) == 1
+    assert "ALARM" not in capsys.readouterr().out
+
+
+def test_closed_loop_refuses_simulation_predictor(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["closed-loop", *SMALL, "--predictor", "simulation"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'simulation'" in capsys.readouterr().err
 
 
 def test_closed_loop_simnet_events_out_records_remediation(tmp_path, capsys):
