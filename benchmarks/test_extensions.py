@@ -39,6 +39,7 @@ from repro.threelevel import (
     ThreeLevelSpec,
     core_down_link,
     pod_down_link,
+    pod_up_link,
     run_iterations3,
 )
 from repro.topology import ClosSpec, down_link, virtualize
@@ -55,6 +56,7 @@ def test_extension_three_level(run_once):
         for label, fault in (
             ("pod tier", pod_down_link(1, 0, 2)),
             ("core tier", core_down_link(1, 2, 0)),
+            ("pod tier (inter-pod up-link)", pod_up_link(0, 3, 0)),
         ):
             model = ThreeLevelModel(spec, silent={fault: 0.05}, mtu=1024)
             runs = run_iterations3(model, demand, 3, seed=31)
@@ -81,7 +83,7 @@ def test_extension_three_level(run_once):
         assert fault in suspected, label
         wrong_tier = (
             [l for l in suspected if l.startswith("cs")]
-            if label == "pod tier"
+            if label.startswith("pod tier")
             else [l for l in suspected if l.startswith(("up:", "down:"))]
         )
         assert not wrong_tier, label

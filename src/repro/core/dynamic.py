@@ -9,9 +9,10 @@ and push updated expectations to the switches.
 :class:`DynamicDemandMonitor` implements that loop: callers provide the
 iteration's demand matrix alongside the measured records, the monitor
 rebuilds the per-link load model (analytical, fault-aware) for exactly
-that demand, and detection/localization proceed as in the static case.
-The cost the paper worries about — recomputing and redistributing the
-expectations — is surfaced via :attr:`predictions_computed`.
+that demand and hands it to an ordinary :class:`FlowPulseMonitor`, so
+detection and localization are the static case's.  The cost the paper
+worries about — recomputing and redistributing the expectations — is
+surfaced via :attr:`predictions_computed`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from __future__ import annotations
 from ..collectives.demand import DemandMatrix
 from ..simnet.counters import IterationRecord
 from ..topology.graph import ClosSpec
-from .detection import DetectionConfig, ThresholdDetector
-from .localization import Localizer
-from .monitor import IterationVerdict
-from .prediction import AnalyticalPredictor, LearningEvent
+from .detection import DetectionConfig
+from .monitor import FlowPulseMonitor, IterationVerdict
+from .prediction import AnalyticalPredictor
 
 
 class DynamicDemandMonitor:
@@ -33,15 +33,13 @@ class DynamicDemandMonitor:
         spec: ClosSpec,
         known_disabled: frozenset[str] = frozenset(),
         config: DetectionConfig | None = None,
-        localizer: Localizer | None = None,
     ) -> None:
         self.spec = spec
         self.known_disabled = frozenset(known_disabled)
         self.config = config or DetectionConfig()
-        self.detector = ThresholdDetector(self.config)
-        self.localizer = localizer or Localizer(
-            sender_threshold=self.config.threshold
-        )
+        #: Scores every iteration; its predictor is replaced by that
+        #: iteration's before each call.
+        self.monitor = FlowPulseMonitor(None, self.config)
         #: How many per-iteration predictions were computed — the
         #: recurring control-plane cost unique to the dynamic case.
         self.predictions_computed = 0
@@ -50,28 +48,11 @@ class DynamicDemandMonitor:
         self, demand: DemandMatrix, records: list[IterationRecord]
     ) -> IterationVerdict:
         """Monitor one iteration against its own demand matrix."""
-        prediction = AnalyticalPredictor(
+        self.monitor.predictor = AnalyticalPredictor(
             self.spec, demand, known_disabled=self.known_disabled
-        ).predict()
-        self.predictions_computed += 1
-        iteration = records[0].tag.iteration if records else -1
-        results = []
-        localizations = []
-        for record in records:
-            leaf_prediction = prediction.for_leaf(record.leaf)
-            result = self.detector.evaluate(record, leaf_prediction)
-            results.append(result)
-            if result.triggered:
-                localizations.append(
-                    self.localizer.localize(record, leaf_prediction, result)
-                )
-        return IterationVerdict(
-            iteration=iteration,
-            learning_event=LearningEvent.NONE,
-            skipped=False,
-            results=tuple(results),
-            localizations=tuple(localizations),
         )
+        self.predictions_computed += 1
+        return self.monitor.process_iteration(records)
 
     def process_run(self, iterations) -> list[IterationVerdict]:
         """Monitor a sequence of (demand, records) pairs."""

@@ -47,8 +47,12 @@ class Localizer:
     """Implements the sender-comparison rule of Fig. 4.
 
     ``sender_threshold`` is the relative per-sender deficit that marks
-    a sender as affected; it defaults to the detection threshold.
+    a sender as affected; it defaults to the detection threshold.  A
+    fabric with other link names overrides the two naming methods.
     """
+
+    local_link = staticmethod(down_link)  # (spine, observing leaf) -> name
+    remote_link = staticmethod(up_link)  # (sender, spine) -> name
 
     def __init__(self, sender_threshold: float = 0.01) -> None:
         if sender_threshold <= 0:
@@ -96,49 +100,32 @@ class Localizer:
             # loss is spread thinly; blame the local link (the only
             # element common to every sender's path into this port).
             affected = sorted(expected_senders)
+        local = []
         if len(affected) == len(expected_senders):
+            # Every sender suffers: the shared local link is at fault (a
+            # remote fault could not hit all senders at once).
+            local = [
+                LinkSuspicion(
+                    link=self.local_link(spine, record.leaf),
+                    kind="local",
+                    leaf=record.leaf,
+                    spine=spine,
+                    affected_senders=tuple(affected),
+                    deviation=alarm.deviation,
+                )
+            ]
             if len(affected) >= 2:
-                # Every sender suffers: the shared local link is at fault
-                # (a remote fault could not hit all senders at once).
-                return [
-                    LinkSuspicion(
-                        link=down_link(spine, record.leaf),
-                        kind="local",
-                        leaf=record.leaf,
-                        spine=spine,
-                        affected_senders=tuple(affected),
-                        deviation=alarm.deviation,
-                    )
-                ]
+                return local
             # A single sender uses this port (the ring case): Fig. 4's
             # sender comparison has nothing to compare against, so the
             # fault is narrowed to two candidate cables — the local
             # downstream link and the sender's upstream link.
-            (src,) = affected
-            return [
-                LinkSuspicion(
-                    link=down_link(spine, record.leaf),
-                    kind="local",
-                    leaf=record.leaf,
-                    spine=spine,
-                    affected_senders=(src,),
-                    deviation=alarm.deviation,
-                ),
-                LinkSuspicion(
-                    link=up_link(src, spine),
-                    kind="remote",
-                    leaf=record.leaf,
-                    spine=spine,
-                    affected_senders=(src,),
-                    deviation=alarm.deviation,
-                ),
-            ]
-        # Only some senders suffer: their own leaf-spine cables are at
-        # fault.  The upstream direction is the one carrying their data
-        # toward this spine.
-        return [
+        # Some senders suffer (or the single one): their own leaf-spine
+        # cables are at fault, in the upstream direction that carries
+        # their data toward this spine.
+        return local + [
             LinkSuspicion(
-                link=up_link(src, spine),
+                link=self.remote_link(src, spine),
                 kind="remote",
                 leaf=record.leaf,
                 spine=spine,

@@ -1,34 +1,32 @@
 """Two-tier FlowPulse monitoring on three-level fabrics (paper §7).
 
-The leaf tier works exactly as in the two-level design: each leaf
-compares the tagged ingress volume from its pod spines against a
-fault-aware analytical prediction.  The new spine tier does the same on
-each pod spine's ingress ports from its core group; its per-sending-pod
-breakdown plays the role Fig. 4's per-sender comparison plays at the
-leaves.
+Each tier is a plain :class:`~repro.core.monitor.FlowPulseMonitor`
+against a fixed fault-aware analytical prediction: the leaf tier over
+every leaf's ingress ports from its pod spines, as in the two-level
+design; the spine tier over every pod spine's ingress ports from its
+core group, with source pods as senders.  Both localize with Fig. 4's
+rule and differ only in link names.  :class:`ThreeLevelMonitor`
+combines them:
 
-Localization combines the tiers:
-
-- a spine-tier deficit names a core-layer cable — local (core->spine)
-  when every sending pod suffers, remote (source pod's spine->core)
-  when only one does;
-- a leaf-tier deficit whose spine *also* alarmed is explained by the
-  core layer and produces no extra suspicion;
-- a leaf-tier deficit with a quiet spine tier lies inside the pods:
-  local pod down-link when all senders suffer, the affected sender's
-  pod up-link otherwise.
+- a leaf-tier deficit at a spine the core layer explains produces no
+  extra suspicion;
+- a sending pod short on every one of two or more core ports into a
+  spine lost its traffic inside its own pod, upstream of the core
+  layer: no core cable is blamed for it and the leaf tier is heard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.detection import DetectionConfig, DetectionResult, ThresholdDetector
-from ..core.localization import LinkSuspicion
-from ..core.prediction.base import LoadPrediction, PortPrediction
+from ..core.detection import DetectionConfig, DetectionResult
+from ..core.localization import LinkSuspicion, Localizer
+from ..core.monitor import FlowPulseMonitor
+from ..core.prediction.base import LoadPrediction, LoadPredictor, PortPrediction
 from ..collectives.demand import DemandMatrix
 from .model import ThreeLevelModel, ThreeLevelRecords, demand_by_leaf_pair
 from .topology import (
+    ThreeLevelSpec,
     core_down_link,
     core_up_link,
     pod_down_link,
@@ -63,24 +61,20 @@ def predict_three_level(
         dst_global = spec.global_leaf(dst_pod, dst_leaf)
         if src_pod == dst_pod:
             spines = control.valid_intra_pod_spines(src_pod, src_leaf, dst_leaf)
-            share = size / len(spines)
-            for s in spines:
-                ports = leaf_ports[dst_global]
-                ports[s] = ports.get(s, 0.0) + share
-                senders = leaf_senders[dst_global]
-                key = (s, src_global)
-                senders[key] = senders.get(key, 0.0) + share
-            continue
-        paths = control.valid_inter_pod_paths(src_pod, src_leaf, dst_pod, dst_leaf)
-        spines = sorted({s for s, _c in paths})
+            paths = []  # never reaches the core layer
+        else:
+            paths = control.valid_inter_pod_paths(src_pod, src_leaf, dst_pod, dst_leaf)
+            spines = sorted({s for s, _c in paths})
         spine_share = size / len(spines)
+        ports = leaf_ports[dst_global]
+        senders = leaf_senders[dst_global]
         for s in spines:
-            ports = leaf_ports[dst_global]
             ports[s] = ports.get(s, 0.0) + spine_share
-            senders = leaf_senders[dst_global]
             key = (s, src_global)
             senders[key] = senders.get(key, 0.0) + spine_share
             cores = sorted(c for ss, c in paths if ss == s)
+            if not cores:
+                continue
             core_share = spine_share / len(cores)
             skey = (dst_pod, s)
             sports = spine_ports.setdefault(skey, {})
@@ -113,6 +107,48 @@ def predict_three_level(
 # ----------------------------------------------------------------------
 # Two-tier monitoring
 # ----------------------------------------------------------------------
+class _FixedPredictor(LoadPredictor):
+    """A stateless predictor handing out one precomputed prediction."""
+
+    name = "three-level analytical"
+
+    def __init__(self, prediction: LoadPrediction) -> None:
+        self._prediction = prediction
+
+    def predict(self) -> LoadPrediction:
+        return self._prediction
+
+
+class _TierLocalizer(Localizer):
+    """Fig. 4's rule at one tier of a three-level fabric."""
+
+    def __init__(self, spec: ThreeLevelSpec, sender_threshold: float) -> None:
+        super().__init__(sender_threshold)
+        self.spec = spec
+
+
+class _LeafTierLocalizer(_TierLocalizer):
+    """Ports are pod spines; observers and senders are global leaves."""
+
+    def local_link(self, spine: int, leaf: int) -> str:
+        pod, leaf_in_pod = divmod(leaf, self.spec.leaves_per_pod)
+        return pod_down_link(pod, spine, leaf_in_pod)
+
+    def remote_link(self, src: int, spine: int) -> str:
+        src_pod, src_leaf = divmod(src, self.spec.leaves_per_pod)
+        return pod_up_link(src_pod, src_leaf, spine)
+
+
+class _SpineTierLocalizer(_TierLocalizer):
+    """Ports are cores; observers are global spine ids, senders pods."""
+
+    def local_link(self, core: int, spine: int) -> str:
+        return core_down_link(core, *divmod(spine, self.spec.spines_per_pod))
+
+    def remote_link(self, src_pod: int, core: int) -> str:
+        return core_up_link(src_pod, self.spec.spine_of_core(core), core)
+
+
 @dataclass(frozen=True)
 class ThreeLevelVerdict:
     """Outcome of monitoring one iteration at both tiers."""
@@ -145,26 +181,50 @@ class ThreeLevelMonitor:
         self.model = model.healthy_view()
         self.spec = model.spec
         self.config = config or DetectionConfig()
-        self.detector = ThresholdDetector(self.config)
         self.leaf_prediction, self.spine_predictions = predict_three_level(
             self.model, demand
+        )
+        threshold = self.config.threshold
+        self.leaf_tier = FlowPulseMonitor(
+            _FixedPredictor(self.leaf_prediction),
+            self.config,
+            _LeafTierLocalizer(self.spec, threshold),
+        )
+        self.spine_tier = FlowPulseMonitor(
+            _FixedPredictor(LoadPrediction(tuple(self.spine_predictions.values()))),
+            self.config,
+            _SpineTierLocalizer(self.spec, threshold),
         )
 
     # ------------------------------------------------------------------
     def process_iteration(self, records: ThreeLevelRecords) -> ThreeLevelVerdict:
-        leaf_results = tuple(
-            self.detector.evaluate(record, self.leaf_prediction.for_leaf(record.leaf))
-            for record in records.leaves
+        spine_keys = sorted(records.spines)
+        leaf_verdict = self.leaf_tier.process_iteration(records.leaves)
+        spine_verdict = self.spine_tier.process_iteration(
+            [records.spines[key] for key in spine_keys]
         )
-        spine_results = {
-            key: self.detector.evaluate(record, self.spine_predictions[key])
-            for key, record in sorted(records.spines.items())
-        }
-        suspicions = self._localize(records, leaf_results, spine_results)
+        # Spine tier first: core-layer faults.  A spine is core-implicated
+        # (and its leaf-tier alarms explained) by any suspicion kept.
+        suspicions: list[LinkSuspicion] = []
+        core_implicated: set[tuple[int, int]] = set()
+        for localization in spine_verdict.localizations:
+            key = divmod(localization.leaf, self.spec.spines_per_pod)
+            upstream = self._upstream_losses(records.spines[key], key)
+            for suspicion in localization.suspicions:
+                if not upstream.issuperset(suspicion.affected_senders):
+                    suspicions.append(suspicion)
+                    core_implicated.add(key)
+        lpp = self.spec.leaves_per_pod
+        suspicions.extend(
+            suspicion
+            for localization in leaf_verdict.localizations
+            for suspicion in localization.suspicions
+            if (localization.leaf // lpp, suspicion.spine) not in core_implicated
+        )
         return ThreeLevelVerdict(
             iteration=records.tag.iteration,
-            leaf_results=leaf_results,
-            spine_results=spine_results,
+            leaf_results=leaf_verdict.results,
+            spine_results=dict(zip(spine_keys, spine_verdict.results)),
             suspicions=tuple(suspicions),
         )
 
@@ -172,124 +232,15 @@ class ThreeLevelMonitor:
         return [self.process_iteration(records) for records in runs]
 
     # ------------------------------------------------------------------
-    def _localize(self, records, leaf_results, spine_results):
-        suspicions: list[LinkSuspicion] = []
+    def _upstream_losses(self, record, key: tuple[int, int]) -> set[int]:
+        """Sending pods short on every one of two or more core ports into
+        spine ``key``.  A loss inside the sending pod thins its traffic on
+        every core port; no single core cable can.  With one port the two
+        causes look alike, so such a pod is never listed."""
         threshold = self.config.threshold
-        # Spine tier first: core-layer faults.
-        core_implicated_spines: set[tuple[int, int]] = set()
-        for (pod, s), result in spine_results.items():
-            record = records.spines[(pod, s)]
-            prediction = self.spine_predictions[(pod, s)]
-            for alarm in result.deficit_alarms():
-                core = alarm.spine  # port index = core id at this tier
-                expected = {
-                    src_pod: size
-                    for (c, src_pod), size in prediction.sender_bytes.items()
-                    if c == core and size > 0
-                }
-                affected = [
-                    src_pod
-                    for src_pod, size in sorted(expected.items())
-                    if (record.sender_bytes.get((core, src_pod), 0) - size) / size
-                    < -threshold
-                ]
-                if not affected:
-                    affected = sorted(expected)
-                core_implicated_spines.add((pod, s))
-                if len(affected) == len(expected) and len(affected) >= 2:
-                    suspicions.append(
-                        LinkSuspicion(
-                            link=core_down_link(core, pod, s),
-                            kind="local",
-                            leaf=pod * self.spec.spines_per_pod + s,
-                            spine=core,
-                            affected_senders=tuple(affected),
-                            deviation=alarm.deviation,
-                        )
-                    )
-                else:
-                    for src_pod in affected:
-                        suspicions.append(
-                            LinkSuspicion(
-                                link=core_up_link(src_pod, s, core),
-                                kind="remote",
-                                leaf=pod * self.spec.spines_per_pod + s,
-                                spine=core,
-                                affected_senders=(src_pod,),
-                                deviation=alarm.deviation,
-                            )
-                        )
-                    if len(affected) == 1 and len(expected) == 1:
-                        # Single sending pod: cannot disambiguate the
-                        # core cable's two halves.
-                        suspicions.append(
-                            LinkSuspicion(
-                                link=core_down_link(core, pod, s),
-                                kind="local",
-                                leaf=pod * self.spec.spines_per_pod + s,
-                                spine=core,
-                                affected_senders=tuple(affected),
-                                deviation=alarm.deviation,
-                            )
-                        )
-        # Leaf tier: pod-internal faults, unless the core layer already
-        # explains the deficit at that spine.
-        for result in leaf_results:
-            record = records.leaves[result.leaf]
-            prediction = self.leaf_prediction.for_leaf(result.leaf)
-            pod = result.leaf // self.spec.leaves_per_pod
-            leaf_in_pod = result.leaf % self.spec.leaves_per_pod
-            for alarm in result.deficit_alarms():
-                s = alarm.spine
-                if (pod, s) in core_implicated_spines:
-                    continue  # explained by the core layer
-                expected = {
-                    src: size
-                    for (spine, src), size in prediction.sender_bytes.items()
-                    if spine == s and size > 0
-                }
-                affected = [
-                    src
-                    for src, size in sorted(expected.items())
-                    if (record.sender_bytes.get((s, src), 0) - size) / size
-                    < -threshold
-                ]
-                if not affected:
-                    affected = sorted(expected)
-                if len(affected) == len(expected) and len(affected) >= 2:
-                    suspicions.append(
-                        LinkSuspicion(
-                            link=pod_down_link(pod, s, leaf_in_pod),
-                            kind="local",
-                            leaf=result.leaf,
-                            spine=s,
-                            affected_senders=tuple(affected),
-                            deviation=alarm.deviation,
-                        )
-                    )
-                else:
-                    for src_global in affected:
-                        src_pod = src_global // self.spec.leaves_per_pod
-                        src_leaf = src_global % self.spec.leaves_per_pod
-                        suspicions.append(
-                            LinkSuspicion(
-                                link=pod_up_link(src_pod, src_leaf, s),
-                                kind="remote",
-                                leaf=result.leaf,
-                                spine=s,
-                                affected_senders=(src_global,),
-                                deviation=alarm.deviation,
-                            )
-                        )
-                    if len(affected) == 1 and len(expected) == 1:
-                        suspicions.append(
-                            LinkSuspicion(
-                                link=pod_down_link(pod, s, leaf_in_pod),
-                                kind="local",
-                                leaf=result.leaf,
-                                spine=s,
-                                affected_senders=tuple(affected),
-                                deviation=alarm.deviation,
-                            )
-                        )
-        return suspicions
+        short: dict[int, list[bool]] = {}
+        for (core, src_pod), size in self.spine_predictions[key].sender_bytes.items():
+            if size > 0:
+                observed = record.sender_bytes.get((core, src_pod), 0)
+                short.setdefault(src_pod, []).append((observed - size) / size < -threshold)
+        return {pod for pod, ports in short.items() if len(ports) >= 2 and all(ports)}

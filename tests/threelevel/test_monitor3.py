@@ -123,3 +123,16 @@ def test_detection_with_preexisting_core_fault_plus_new_pod_fault():
     assert any(v.triggered for v in verdicts)
     suspected = frozenset().union(*(v.suspected_links() for v in verdicts))
     assert fault in suspected
+
+
+def test_inter_pod_pod_up_fault_not_blamed_on_core():
+    """L0.3 sends only to L1.0, through pod spine S0.0 and both cores of
+    its group.  A loss on L0.3's up-link thins pod 0's traffic on every
+    core port into S1.0 — no single core cable can do that — so the core
+    layer is not blamed and the leaf tier names the pod link."""
+    fault = pod_up_link(0, 3, 0)
+    verdicts = monitored_run(silent={fault: 0.05}, seed=3)
+    assert all(v.triggered for v in verdicts)
+    suspected = frozenset().union(*(v.suspected_links() for v in verdicts))
+    assert fault in suspected
+    assert not any(link.startswith("cs") for link in suspected)

@@ -10,10 +10,13 @@ from repro.collectives import (
     locality_optimized_ring,
     ring_reduce_scatter_stages,
 )
+from repro.core import DetectionConfig
 from repro.simnet import DropFault, FlowTag, Tracer
 from repro.threelevel import (
     ThreeLevelModel,
+    ThreeLevelMonitor,
     ThreeLevelNetwork,
+    ThreeLevelRecords,
     ThreeLevelSpec,
     core_down_link,
     core_up_link,
@@ -173,3 +176,38 @@ def test_misroute_rejected():
     net = make_net()
     with pytest.raises(KeyError):
         net.inject_fault("up:L9.9->S9.9", DropFault(0.1))
+
+
+def test_pod_up_fault_localized_on_packet_fabric():
+    """The packet-level substrate agrees with the statistical one: L0.1
+    sends only to L1.0, so a loss on its up-link to S0.0 thins pod 0's
+    traffic on both core ports into S1.0.  The monitor names the pod
+    link and blames no core cable."""
+    fault = pod_up_link(0, 1, 0)
+    size, iterations = 2_000_000, 2
+    ring = locality_optimized_ring(SPEC.n_hosts)
+    net = make_net()
+    net.inject_fault(fault, DropFault(0.05))
+    leaf_collectors, spine_collectors = net.install_collectors(job_id=1)
+    StagedCollectiveRunner(
+        net, 1, ring_reduce_scatter_stages(ring, size), iterations=iterations
+    ).run()
+    net.finalize_collectors()
+    monitor = ThreeLevelMonitor(
+        ThreeLevelModel(SPEC, mtu=512),
+        ring_demand(ring, size),
+        DetectionConfig(threshold=0.01),
+    )
+    verdicts = [
+        monitor.process_iteration(
+            ThreeLevelRecords(
+                tag=FlowTag(1, i),
+                leaves=tuple(leaf_collectors[g].records[i] for g in range(SPEC.n_leaves)),
+                spines={key: c.records[i] for key, c in spine_collectors.items()},
+            )
+        )
+        for i in range(iterations)
+    ]
+    suspected = frozenset().union(*(v.suspected_links() for v in verdicts))
+    assert fault in suspected
+    assert not any(link.startswith("cs") for link in suspected)

@@ -106,3 +106,13 @@ def test_pod_fault_drained_and_recovered():
     assert actions
     assert fault in actions[0].disabled_links
     assert quiet_after and all(quiet_after)
+
+
+def test_inter_pod_pod_up_fault_drains_its_own_cable():
+    fault = pod_up_link(0, 3, 0)
+    actions, quiet_after, known = _run_and_remediate(fault)
+    assert actions
+    assert fault in actions[0].disabled_links
+    drained = {cable for action in actions for cable in action.cables}
+    assert not any(kind == "core" for kind, _a, _b in drained)
+    assert quiet_after and all(quiet_after)
