@@ -27,8 +27,8 @@ and the kind:
     bytes], ...], [[spine, src, bytes], ...]]`` for one collective
     iteration of one job, keys ascending.  ``job_id`` and ``n_records``
     sit at fixed early positions so the ingest frontend can route a
-    line with :func:`peek_batch` (a string split) without a full JSON
-    parse.
+    line with :func:`peek_batch` (one regex match of the head, which
+    takes canonical JSON integers only) without a full JSON parse.
 
 ``["fprec", 1, "j", {...}]``
     One :class:`JobConfig` — the monitored job's fabric/predictor
@@ -44,9 +44,12 @@ CSR-style port/sender key and value columns — so a shard worker decodes
 a frame with a handful of ``np.frombuffer`` calls and scores whole
 blocks of iterations in one vectorized pass without ever building a
 per-record dict.  A v1 batch line is a text encoding of the same
-columns, and :func:`decode_batch_segment` reads it as such: both
+columns, and :func:`decode_batch_segment` reads it as such: a line in
+the writer's canonical form is scanned to its columns without
+``json.loads``, any other line takes the JSON record route.  Both
 versions reach the monitor as segments, and :func:`decode_batch`'s
-records are the export/debug view.  Job frames carry the same JSON
+records (always ``json.loads``: the scanner's reference) are the
+export/debug view.  Job frames carry the same JSON
 document as v1 inside a binary frame: they are control-plane, one per
 job, and gain nothing from struct packing.  The header's first byte
 (``0xF7``) is not valid UTF-8 and can never open a JSON line, so v1
@@ -80,10 +83,10 @@ import io
 import json
 import math
 import pathlib
+import re
 import struct
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
-from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -129,6 +132,31 @@ _KIND_BATCH = ord("b")
 _KIND_JOB = ord("j")
 _U64_MAX = 2**64 - 1
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+#: What every v1 line opens with, and the line's kind, read at routing cost.
+_V1_PREFIX = rf'\["{FPREC_MAGIC}",{FPREC_VERSION},"'
+_V1_KIND = re.compile(_V1_PREFIX + '([bj])",')
+#: A canonical JSON integer: what ``json.dumps`` writes for an ``int``.
+_INT = "-?(?:0|[1-9][0-9]*)"
+#: A batch line's head up to its records, as :func:`_segment_line`
+#: writes it: job, n_records, iteration and a plain-ASCII collective.
+_V1_BATCH_HEAD = re.compile(_V1_PREFIX + rf'b",({_INT}),({_INT}),({_INT}),"([ !#-\[\]-~]*)",')
+#: The records of a batch line as :func:`_segment_line` writes them,
+#: ``[[leaf,start,end,[[spine,bytes],..],[[spine,src,bytes],..]],..]]``,
+#: less their digits and minus signs.
+_LISTS = r"(?:\[,\](?:,\[,\])*)?\],\[(?:\[,,\](?:,\[,,\])*)?"
+_V1_SKELETON = re.compile(rf"\[\[,,,\[{_LISTS}\]\](?:,\[,,,\[{_LISTS}\]\])*\]\]".encode())
+_MISPLACED_MINUS = re.compile(rb"(?<![,\[])-|-(?![0-9])")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+#: By the distance from a skeleton ``[`` to the next bracket (4: a record,
+#: 3: a sender triple, 2: a port pair, 1: a list): how many integers it
+#: opens, and for which table (0: record heads, 1: ports, 2: senders).
+_SLOTS_BY_GAP = np.array([0, 0, 2, 3, 3])
+_TABLE_BY_GAP = np.array([0, 0, 1, 2, 0], dtype=np.int8)
+#: Where an int64's written width steps up: ``len(str(v))`` is 1, plus
+#: 1 if ``v < 0``, plus the number of these ``abs(v)`` reaches.
+_POW10 = 10 ** np.arange(1, 19)
 
 
 class CodecError(RuntimeError):
@@ -598,7 +626,7 @@ def _parse_line(line: str) -> tuple[str, list]:
         payload = json.loads(line, parse_constant=_reject_constant)
     except CodecError:
         raise
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: a JSONDecodeError or an int too long
         raise CodecError(f"not a valid wire line: {exc}") from exc
     if not isinstance(payload, list) or len(payload) < 3:
         raise CodecError("wire line must be a JSON array [magic, version, kind, ...]")
@@ -674,62 +702,81 @@ def _batch_line(line: str) -> tuple[FlowTag, list]:
     return tag, entries
 
 
-def _int_table(rows: list, width: int) -> np.ndarray:
-    """JSON rows of exactly ``width`` exact ints as ``width`` int64
-    columns; ``ValueError`` for anything else (a string or object posing
-    as a row yields ``str`` elements; ``bool`` is not ``int``)."""
-    flat = list(chain.from_iterable(rows))
-    if not (set(map(len, rows)) <= {width} and set(map(type, flat)) <= {int}):
-        raise ValueError(f"not rows of {width} integers")
-    table = np.array(flat, dtype=KEY_DTYPE).reshape(len(rows), width)
-    return np.ascontiguousarray(table.T)
-
-
-def _keys_ascend(offsets: list, *keys: np.ndarray) -> bool:
+def _keys_ascend(offsets: np.ndarray, *keys: np.ndarray) -> bool:
     """Whether each record's keys strictly increase, in lexicographic
     order over ``keys`` — what our encoder writes and
     :meth:`IterationSegment.from_records` produces."""
-    columns = (np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), *keys)
     rising = False
-    for column in reversed(columns):
+    for column in reversed(keys):
         rising = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & rising)
-    return bool(np.all(rising))
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < len(keys[0]))] - 1] = True  # a record may start low
+    return bool(rising.all())
 
 
-def _columns_from_entries(tag: FlowTag, entries: list) -> IterationSegment | None:
-    """A v1 batch's parsed entries as columns, with every check
-    :func:`_decode_record` makes per value made per column and no
-    record, dict or tag built per leaf — or ``None`` unless arities are
-    5/2/3, every id, timestamp, key and counter is an exact ``int`` in
-    the 64-bit range and each record's keys ascend.  The record route
-    then decides: a typed error, float counters packed one by one, a
-    foreign writer's unsorted or repeated keys settled by dicts."""
-    heads, pairs, triples = [], [], []
-    port_offsets, sender_offsets = [0], [0]
-    try:
-        for leaf, start_ns, end_ns, port_pairs, sender_triples in entries:
-            heads.append((leaf, start_ns, end_ns))
-            pairs += port_pairs
-            port_offsets.append(len(pairs))
-            triples += sender_triples
-            sender_offsets.append(len(triples))
-        leaves, start_ns, end_ns = _int_table(heads, 3)
-        port_keys, port_raw = _int_table(pairs, 2)
-        sender_spines, sender_srcs, sender_raw = _int_table(triples, 3)
-    except (TypeError, ValueError, OverflowError):
+def _scan_batch_line(line: str) -> IterationSegment | None:
+    """A v1 batch line exactly as :func:`_segment_line` writes it, read
+    straight into columns by C-level passes — or ``None`` for any other
+    line, which the record route then reads or refuses.
+
+    The head and the body's bracket skeleton (the body less digits and
+    minus signs) must match the writer's grammar, and one
+    ``np.fromstring`` reads every integer.  What numpy reads where JSON
+    would not is refused: an empty slot, a minus sign not opening a
+    token or not followed by a digit, a token wider than its value
+    written canonically (``01``, ``-0``), and the int64 limits, to
+    which numpy saturates out-of-range tokens.  So are unsorted keys.
+    """
+    head = _V1_BATCH_HEAD.match(line)
+    body = line[head.end() :].encode() if head is not None and line.isascii() else b""
+    skeleton = body.translate(None, b"-0123456789")
+    if _V1_SKELETON.fullmatch(skeleton) is None or (
+        b"-" in body and _MISPLACED_MINUS.search(body) is not None
+    ):
         return None
+    text = np.frombuffer(body, dtype=np.uint8)
+    comma, close = text == ord(","), text == ord("]")
+    if ((text[:-1] == ord("[")) & comma[1:] | comma[:-1] & (comma[1:] | close[1:])).any():
+        return None  # "[,", ",," or ",]": an empty slot
+    try:
+        job_id, n_records, iteration = int(head[1]), int(head[2]), int(head[3])
+        # numpy 2 raises on a short parse; numpy 1 warns and the count check refuses it.
+        values = np.fromstring(body.translate(_BRACKETS_TO_SPACES), dtype=KEY_DTYPE, sep=" ")
+    except ValueError:
+        return None
+    skeleton = np.frombuffer(skeleton, dtype=np.uint8)
+    brackets = np.flatnonzero(skeleton != ord(","))
+    gaps = np.diff(brackets)[skeleton[brackets[:-1]] == ord("[")]
+    table = np.repeat(_TABLE_BY_GAP[gaps], _SLOTS_BY_GAP[gaps])
+    entry, pair, triple = gaps == 4, gaps == 2, gaps == 3
+    n_leaves, n_pairs = int(entry.sum()), int(pair.sum())
+    if not (
+        n_leaves == n_records
+        and len(values) == len(table)
+        and _I64_MIN < values.min()
+        and values.max() < _I64_MAX
+        and len(body) - len(skeleton) == len(values) + int((values < 0).sum())
+        + int(np.searchsorted(_POW10, np.abs(values), side="right").sum())
+    ):
+        return None
+    values = values[np.argsort(table, kind="stable")]
+    ports = 3 * n_leaves + 2 * n_pairs
+    leaves, start_ns, end_ns = values[: 3 * n_leaves].reshape(-1, 3).T.copy()
+    port_keys, port_raw = values[3 * n_leaves : ports].reshape(-1, 2).T.copy()
+    sender_spines, sender_srcs, sender_raw = values[ports:].reshape(-1, 3).T.copy()
+    port_offsets = np.append(np.cumsum(pair, dtype=KEY_DTYPE)[entry], n_pairs)
+    sender_offsets = np.append(np.cumsum(triple, dtype=KEY_DTYPE)[entry], len(sender_raw))
     if not (
         _keys_ascend(port_offsets, port_keys)
         and _keys_ascend(sender_offsets, sender_spines, sender_srcs)
     ):
         return None
     return IterationSegment(
-        tag.job_id, tag.iteration, tag.collective,
+        job_id, iteration, head[4],
         leaves, start_ns, end_ns,
-        np.array(port_offsets, dtype=KEY_DTYPE), port_keys, port_raw,
-        np.zeros(len(pairs), dtype=FLAG_DTYPE),
-        np.array(sender_offsets, dtype=KEY_DTYPE), sender_spines, sender_srcs,
-        sender_raw, np.zeros(len(triples), dtype=FLAG_DTYPE),
+        port_offsets, port_keys, port_raw, np.zeros(n_pairs, dtype=FLAG_DTYPE),
+        sender_offsets, sender_spines, sender_srcs,
+        sender_raw, np.zeros(len(sender_raw), dtype=FLAG_DTYPE),
     )
 
 
@@ -755,18 +802,20 @@ def decode_batch_segment(data: str | bytes) -> IterationSegment:
 
     A v1 line is a text encoding of the same columns a v2 frame carries
     as bytes: the frame's come off the wire with a handful of buffer
-    views, the line's out of ``json.loads`` a column at a time, and
-    neither builds a record or a dict (a line that is not plainly
-    all-int and key-sorted goes through :func:`_decode_record` first).
+    views, a line exactly as :func:`_segment_line` writes it is scanned
+    to them by :func:`_scan_batch_line`, and neither builds a record, a
+    dict or a Python int per value.  Any other line (float counters,
+    whitespace, unsorted keys, a malformed line) takes the record route
+    through :func:`_decode_record`, with its typed errors.
     """
     if isinstance(data, (bytes, bytearray)):
         kind, payload = _split_frame(bytes(data))
         if kind != _KIND_BATCH:
             raise CodecError("expected a batch frame, got a job frame")
         return _decode_segment_payload(payload)
-    tag, entries = _batch_line(data)
-    segment = _columns_from_entries(tag, entries) if entries else None
+    segment = _scan_batch_line(data)
     if segment is None:
+        tag, entries = _batch_line(data)
         try:
             segment = IterationSegment.from_records(
                 [_decode_record(entry, tag) for entry in entries]
@@ -818,14 +867,13 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
     full parse.
 
     The routing fields sit at fixed positions in both versions: a v1
-    line yields them after six comma splits, a v2 frame after three
-    fixed-offset reads — this is what keeps the ingest frontend's
-    per-unit cost independent of batch size.  The fast paths validate
-    the magic and version at their fixed positions too, so a
-    wrong-magic or future-version unit whose prefix happens to look
-    batch-shaped raises the typed error here instead of deep inside a
-    shard worker.  Anything the fast path cannot vouch for falls back
-    to a full decode (and its typed errors).
+    line yields them from one match of the canonical head (which reads
+    the magic, version and kind too, and never the records), a v2 frame
+    after three fixed-offset reads — this is what keeps the ingest
+    frontend's per-unit cost independent of batch size.  Anything the
+    fast paths cannot vouch for — a wrong magic, a future version, a
+    field JSON does not read as an integer (``+1``, ``01``, ``1_0``) —
+    falls back to a full decode and its typed errors.
     """
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data)
@@ -841,16 +889,11 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
             n_records = int.from_bytes(data[28:32], "little")
             return job_id, n_records, iteration
     else:
-        parts = data.split(",", 6)
-        if (
-            len(parts) == 7
-            and parts[0] == f'["{FPREC_MAGIC}"'
-            and parts[1] == str(FPREC_VERSION)
-            and parts[2] == '"b"'
-        ):
+        head = _V1_BATCH_HEAD.match(data)
+        if head is not None:
             try:
-                return int(parts[3]), int(parts[4]), int(parts[5])
-            except ValueError:
+                return int(head[1]), int(head[2]), int(head[3])
+            except ValueError:  # more digits than int() converts
                 pass
     batch = decode_batch(data)  # raises a typed error or handles edge forms
     return batch.job_id, batch.n_records, batch.iteration
@@ -931,14 +974,9 @@ class StreamDecoder:
             return None
         if self.raw:
             # Routing-cost kind peek, falling back to full validation.
-            parts = line.split(",", 3)
-            if (
-                len(parts) >= 3
-                and parts[0] == f'["{FPREC_MAGIC}"'
-                and parts[1] == str(FPREC_VERSION)
-                and parts[2] in ('"b"', '"j"')
-            ):
-                return parts[2][1:-1], line
+            prefix = _V1_KIND.match(line)
+            if prefix is not None:
+                return prefix[1], line
             kind, _payload = _parse_line(line)
             return kind, line
         return decode_line(line)

@@ -26,6 +26,7 @@ from repro.fleet import (
     encode_batch,
     encode_job,
     peek_batch,
+    peek_batch_tag,
     read_fprec,
     write_fprec,
 )
@@ -516,6 +517,39 @@ def test_peek_matches_decode():
 def test_peek_on_job_line_raises():
     with pytest.raises(CodecError):
         peek_batch(encode_job(job_config()))
+
+
+#: Routing fields the decoders refuse: four that ``int()`` reads (a
+#: plus sign, an underscore, which makes ``1_0`` read as 10, an
+#: Arabic-Indic 3, a leading zero) and one too long for ``int()`` or
+#: ``json.loads``.
+NON_JSON_INTS = {
+    "plus": "+1",
+    "underscore": "1_0",
+    "arabic-indic": "\u0663",
+    "leading-zero": "01",
+    "5000-digits": "9" * 5000,
+}
+
+
+def with_head_field(line: str, position: int, field: str) -> str:
+    """``line`` with its head field at comma position ``position``
+    (3: job_id, 4: n_records, 5: iteration) replaced by ``field``."""
+    parts = line.split(",", 6)
+    parts[position] = field
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize("position", [3, 4, 5])
+@pytest.mark.parametrize("field", NON_JSON_INTS.values(), ids=NON_JSON_INTS)
+def test_peek_refuses_head_fields_the_decoder_refuses(field, position):
+    """The routing peek accepts exactly the heads the decoders accept:
+    such a field is a typed error at the peek, not a unit routed to a
+    worker that then refuses it."""
+    line = with_head_field(encode_batch(make_batch(n_leaves=1)), position, field)
+    for decode in (peek_batch_tag, decode_batch, decode_batch_segment):
+        with pytest.raises(CodecError):
+            decode(line)
 
 
 # ----------------------------------------------------------------------

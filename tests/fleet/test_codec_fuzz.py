@@ -11,7 +11,9 @@ internal exception a fleet worker's error handling would not catch.
 from __future__ import annotations
 
 import io
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.fleet import (
     FPREC_VERSION_BINARY,
     CodecError,
+    RecordBatch,
     decode_batch,
     decode_batch_segment,
     decode_job,
@@ -28,6 +31,8 @@ from repro.fleet import (
     peek_batch,
     read_fprec,
 )
+from repro.simnet.counters import IterationRecord
+from repro.simnet.packet import FlowTag
 
 from .test_codec import assert_decoders_agree, job_config, make_batch
 
@@ -109,7 +114,7 @@ def test_v1_count_lies_and_trailing_garbage_fail_typed():
     for lie in ("0", "1", "2", "4", "2147483648", "-3", "3.5", '"3"', "null"):
         with pytest.raises(CodecError, match="declares"):
             decode_batch_segment(",".join([*head, lie, tail]))
-    for garbage in ("x", "]", ",0", " " + line, "\x00"):
+    for garbage in ("x", "]", ",0", "7", " " + line, "\x00"):
         with pytest.raises(CodecError):
             decode_batch_segment(line + garbage)
         assert_decoders_agree(line + garbage)
@@ -118,17 +123,131 @@ def test_v1_count_lies_and_trailing_garbage_fail_typed():
 # ----------------------------------------------------------------------
 # Byte flips (deterministic fuzz across every position)
 # ----------------------------------------------------------------------
+#: All-int lines with multi-digit, negative and int64-edge values: 0,
+#: -1, 10**18 - 1, 10**18, the int64 limits and an epoch-ns timestamp;
+#: the second holds each limit's neighbour, one corruption away from
+#: the limit numpy saturates to and from a token past it.
+EDGE_LINES = [
+    encode_batch(
+        RecordBatch.from_records(
+            [
+                IterationRecord(
+                    leaf=leaf,
+                    tag=FlowTag(job_id=3, iteration=2),
+                    port_bytes={0: 0, 1: -1, 2: 10**18 - 1},
+                    sender_bytes={(-1, 2): 10**18, (0, 1): high, (0, 2): low},
+                    start_ns=1_760_000_000_123_456_789,
+                    end_ns=1_760_000_000_987_654_321,
+                )
+            ]
+        )
+    )
+    for leaf, high, low in ((0, 2**63 - 1, -(2**63)), (1, 2**63 - 2, 1 - 2**63))
+]
+
+
 def test_single_character_corruption_of_a_v1_line_never_escapes_typed_errors():
     """Every position of a line overwritten with every character JSON
     gives a meaning to: the columnar decode raises CodecError or decodes,
     and in both cases sides with the record decode."""
     all_int = make_batch(n_leaves=2)  # the column route, until a corruption says otherwise
     with_float = make_batch(n_leaves=2, sender_bytes={(0, 1): 400, (1, 2): 2.5})
-    for line in (encode_batch(all_int), encode_batch(with_float)):
+    for line in (encode_batch(all_int), encode_batch(with_float), *EDGE_LINES):
         for position in range(len(line)):
-            for char in '[]{},:"-.0129eEtfn \x00\xff':
+            for char in '[]{},:"-.0129eEtfn \x00\xff\ud800':
                 if char != line[position]:
                     assert_decoders_agree(line[:position] + char + line[position + 1 :])
+
+
+def line_with(token: str, slot: str) -> str:
+    """A one-leaf all-int line whose value ``slot`` (its distinct
+    marker value, with the brackets or commas around it) holds
+    ``token`` instead."""
+    line = encode_batch(
+        RecordBatch.from_records(
+            [
+                IterationRecord(
+                    leaf=7,
+                    tag=FlowTag(job_id=3, iteration=2),
+                    port_bytes={3: 13},
+                    sender_bytes={(4, 5): 14},
+                    start_ns=11,
+                    end_ns=12,
+                )
+            ]
+        )
+    )
+    assert line.count(slot) == 1
+    return line.replace(slot, slot.replace(slot.strip("[],"), token))
+
+
+#: Tokens numpy's integer parser reads differently from JSON, and what
+#: the v1 decoders make of each in any slot: out-of-range tokens come
+#: back from numpy saturated (the negative one to +2**63 - 1), ``- 1``
+#: reads as -1, ``-0``/``01`` as 0/1 and a bare ``-`` as 0 at the end
+#: of the text.
+NUMPY_QUIRKS = {
+    "9223372036854775808": CodecError,
+    "-9223372036854775809": CodecError,
+    "99999999999999999999": CodecError,
+    "- 1": CodecError,
+    "-0": 0,
+    "01": CodecError,
+    "--1": CodecError,
+    "-": CodecError,
+    "1-2": CodecError,
+}
+
+
+@pytest.mark.parametrize("slot", ["[7,", ",11,", ",12,", "[3,", ",13]", "[4,", ",5,", ",14]"])
+@pytest.mark.parametrize("token", list(NUMPY_QUIRKS))
+def test_numpy_integer_quirks_decode_as_json_reads_them(token, slot):
+    line = line_with(token, slot)
+    assert_decoders_agree(line)
+    if NUMPY_QUIRKS[token] is CodecError:
+        with pytest.raises(CodecError):
+            decode_batch_segment(line)
+    else:
+        assert decode_batch(line) == decode_batch(line_with(str(NUMPY_QUIRKS[token]), slot))
+
+
+def test_a_token_outside_its_slot_is_refused():
+    """The bracket skeleton is the writer's and every token canonical —
+    and the line is still not JSON: a token sits where no value goes,
+    alone or filling in for an empty slot's."""
+    line = encode_batch(make_batch(n_leaves=1))
+    for moved in (
+        line.replace("5000,[[", "5000,7[["),
+        line.replace("[0,100,5000,[", "[0,,5000,100["),
+        line.replace("[[0,1000],", "[[0,]1000,"),
+        line.replace("[[0,1,400]", "[[0,1,]400"),
+    ):
+        assert moved != line
+        with pytest.raises(CodecError):
+            decode_batch_segment(moved)
+        assert_decoders_agree(moved)
+
+
+@pytest.mark.parametrize("short_parse", ["warns", "raises"])
+def test_a_short_integer_parse_falls_back_to_the_record_route(monkeypatch, short_parse):
+    """numpy 1 warns and returns what it read when a text parse stops
+    short, numpy 2 raises: either way the line takes the record route."""
+    line = encode_batch(make_batch(n_leaves=2))
+    fromstring = np.fromstring
+
+    def stops_short(text, **kwargs):
+        if short_parse == "raises":
+            raise ValueError("string or file could not be read to its end")
+        message = "string or file could not be read to its end"
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return fromstring(text, **kwargs)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", stops_short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        segment = decode_batch_segment(line)
+    assert segment._records is not None  # built by the record route
+    assert segment.records() == list(decode_batch(line).records)
 
 
 def test_single_byte_flips_never_escape_typed_errors():

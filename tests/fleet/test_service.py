@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.fleet import (
+    CodecError,
     FleetConfig,
     FleetError,
     FleetService,
@@ -18,6 +19,8 @@ from repro.fleet import (
     serve_workload,
     shard,
 )
+
+from .test_codec import NON_JSON_INTS, with_head_field
 
 
 def metric(result, name, label=None):
@@ -299,6 +302,27 @@ def test_malformed_line_reported_not_fatal(small_workload):
     assert result.processed_batches == 3  # the good ones still flowed
     assert len(result.errors) == 1
     assert metric(result, "fleet.worker_errors") == 1
+
+
+def test_head_the_decoders_refuse_is_refused_at_submit(small_workload):
+    """A unit whose job id the decoders refuse (``+1``, ``1_0``, ...) is
+    refused by ``submit_encoded`` itself: it is never routed or counted,
+    so ``processed + shed == submitted`` still holds and no worker
+    reports an error."""
+    jobs, batches = small_workload
+    service = FleetService(FleetConfig(n_shards=2))
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        for field in NON_JSON_INTS.values():
+            with pytest.raises(CodecError):
+                service.submit_encoded(with_head_field(encode_batch(batches[0]), 3, field))
+        for batch in batches[:3]:
+            service.submit(batch)
+    result = service.result
+    assert result.errors == []
+    assert result.submitted_batches == result.processed_batches == 3
+    assert result.processed_records + result.shed_records == result.submitted_records
 
 
 @pytest.mark.parametrize("poison", ["null", '"abc"', "true", "[1]"])

@@ -309,11 +309,13 @@ _COUNTER = st.one_of(
 
 
 @st.composite
-def _wire_records(draw):
+def _wire_records(draw, all_ints=None):
     """One iteration's records the way a foreign exporter might shape
     them: any leaf order, a different port set per leaf (or none), empty
-    sender tables, ints at the 64-bit edges, floats in between."""
-    all_ints = draw(st.booleans())
+    sender tables, ints at the 64-bit edges, floats in between (unless
+    ``all_ints``)."""
+    if all_ints is None:
+        all_ints = draw(st.booleans())
     counter = st.one_of(st.sampled_from(_INT64), st.integers(0, 2**40)) if all_ints else _COUNTER
     key = st.one_of(st.sampled_from(_INT64), st.integers(0, 40))
     tag = FlowTag(job_id=draw(st.integers(0, 2**70)), iteration=draw(st.integers(0, 2**70)))
@@ -339,3 +341,26 @@ def test_property_v1_line_decodes_to_the_segment_its_records_build(records):
     line = encode_batch(RecordBatch.from_records(records), 1)
     assert_same_segment(decode_batch_segment(line), IterationSegment.from_records(records))
     assert_decoders_agree(line)
+
+
+#: The int64 limits: numpy's integer parser saturates tokens past them
+#: to them, so the v1 scanner leaves a line holding one to the record
+#: route.
+_SATURATED = (-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_wire_records(all_ints=True))
+def test_property_first_party_all_int_lines_scan_to_columns(records):
+    """Every line the v1 writer makes of an all-int segment is scanned
+    straight to columns — ``from_records``'s, dtype included — with no
+    record built, unless it holds an int64 limit."""
+    segment = IterationSegment.from_records(records)
+    got = decode_batch_segment(encode_batch(segment, 1))
+    holds_limit = any(
+        np.isin(getattr(segment, name), _SATURATED).any()
+        for name in ("leaves", "start_ns", "end_ns", "port_keys", "port_raw",
+                     "sender_spines", "sender_srcs", "sender_raw")
+    )
+    assert (got._records is None) == (not holds_limit)
+    assert_same_segment(got, segment)
