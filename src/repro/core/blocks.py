@@ -12,7 +12,7 @@ iteration's records as flat numpy columns (leaf ids, timestamps,
 port/sender keys and values with explicit offsets), cheap to build
 straight out of the binary wire format (:mod:`repro.fleet.codec` v2
 frames are these columns on disk) and cheap to score in bulk
-(:meth:`repro.core.monitor.FlowPulseMonitor.process_block`).  Records
+(:func:`repro.core.monitor.process_blocks`).  Records
 are materialized lazily — only for the leaves that actually alarm and
 need the scalar detector/localizer.
 
@@ -81,6 +81,35 @@ def pack_array(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if values.dtype.kind == "f":
         return values.view(RAW_DTYPE), np.full(len(values), VALUE_FLOAT, dtype=FLAG_DTYPE)
     return values.astype(RAW_DTYPE, copy=False), np.zeros(len(values), dtype=FLAG_DTYPE)
+
+
+def keys_ascend(offsets: np.ndarray, first: np.ndarray, second: np.ndarray | None = None) -> bool:
+    """Whether each record's keys strictly increase — lexicographically
+    over ``(first, second)`` when ``second`` is given — with record
+    ``j`` owning ``[offsets[j] - offsets[0], offsets[j + 1] - offsets[0])``
+    of the key columns.  Sorted, repeat-free keys are what
+    :meth:`IterationSegment.from_records` produces and every writer
+    writes."""
+    if len(first) < 2:
+        return True
+    later, earlier = first[1:], first[:-1]
+    rising = later > earlier
+    if second is not None:
+        rising |= (later == earlier) & (second[1:] > second[:-1])
+    if len(offsets) > 2:  # a record may start low
+        starts = offsets[1:-1] - offsets[0]
+        rising[starts[(starts > 0) & (starts < len(first))] - 1] = True
+    return bool(rising.all())
+
+
+def as_floats(raw: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """The raw/flag value columns as one float64 array.  Integer values
+    are converted exactly as Python's ``float()`` would (both are
+    round-to-nearest IEEE-754 conversions), so vectorized deviation
+    arithmetic on the result is bit-identical to the scalar path's."""
+    if flags.any():
+        return np.where(flags.astype(bool), raw.view(FLOAT_DTYPE), raw.astype(np.float64))
+    return raw.astype(np.float64)
 
 
 def unpack_values(raw: np.ndarray, flags: np.ndarray) -> list:
@@ -233,15 +262,18 @@ class IterationSegment:
         p = self.port_offsets[lo : hi + 1]
         s = self.sender_offsets[lo : hi + 1]
         ports, senders = slice(p[0], p[-1]), slice(s[0], s[-1])
+        port_keys = self.port_keys[ports]
+        spines, srcs = self.sender_spines[senders], self.sender_srcs[senders]
+        if not (keys_ascend(p, port_keys) and keys_ascend(s, spines, srcs)):
+            # A dict would keep the last of repeated keys and drop the rest.
+            raise BlockError("a record's port or sender keys do not strictly ascend")
         port_items = zip(
-            self.port_keys[ports].tolist(),
+            port_keys.tolist(),
             unpack_values(self.port_raw[ports], self.port_flags[ports]),
         )
         keys = self._sender_keys
         sender_items = zip(
-            zip(self.sender_spines[senders].tolist(), self.sender_srcs[senders].tolist())
-            if keys is None
-            else keys[senders],
+            zip(spines.tolist(), srcs.tolist()) if keys is None else keys[senders],
             unpack_values(self.sender_raw[senders], self.sender_flags[senders]),
         )
         return list(
@@ -262,9 +294,9 @@ class IterationSegment:
 
         A non-``None`` pattern means the segment is dense: each record
         observed exactly the same sorted set of spine ports, so the
-        value column reshapes into an ``(m, p)`` matrix.  This is the
-        precondition for the monitor's vectorized scoring pass; mixed
-        patterns fall back to the scalar oracle.
+        value column reshapes into an ``(m, p)`` matrix.  The monitor
+        builds its dense plan from this pattern; a segment without one
+        never gets a plan.
         """
         if not self._pattern_known:
             self._pattern_known = True
@@ -278,27 +310,6 @@ class IterationSegment:
                     if bool((keys == keys[0]).all()):
                         self._pattern = keys[0]
         return self._pattern
-
-    def port_value_matrix(self) -> np.ndarray:
-        """``(m, p)`` float64 matrix of port values (dense segments only).
-
-        Integer values are converted exactly as Python's ``float()``
-        would (both are round-to-nearest IEEE-754 conversions), so the
-        vectorized deviation arithmetic downstream is bit-identical to
-        the scalar path's.
-        """
-        pattern = self.port_pattern()
-        if pattern is None:
-            raise BlockError("segment has no uniform port pattern")
-        if self.port_flags.any():
-            values = np.where(
-                self.port_flags.astype(bool),
-                self.port_raw.view(FLOAT_DTYPE),
-                self.port_raw.astype(np.float64),
-            )
-        else:
-            values = self.port_raw.astype(np.float64)
-        return values.reshape(self.n_records, len(pattern))
 
 
 #: The array columns of a segment, in field order.

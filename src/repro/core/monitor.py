@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..simnet.counters import IterationRecord
-from .blocks import IterationSegment
+from .blocks import IterationSegment, as_floats
 from .detection import DetectionConfig, DetectionResult, ThresholdDetector, _prediction_state
 from .localization import LocalizationResult, Localizer
 from .prediction.base import LoadPredictor
@@ -181,17 +181,6 @@ class RunVerdict:
         return counts
 
 
-def _fits(plan: _DensePlan, segment: IterationSegment) -> bool:
-    """Whether ``segment`` has exactly the plan's leaf order and port
-    pattern (checked per call: segments are outside input)."""
-    pattern = segment.port_pattern()
-    return (
-        pattern is not None
-        and np.array_equal(pattern, plan.pattern)
-        and np.array_equal(segment.leaves, plan.leaves)
-    )
-
-
 class FlowPulseMonitor:
     """Fabric-wide FlowPulse instance for one monitored job."""
 
@@ -276,16 +265,27 @@ class FlowPulseMonitor:
 
         ``block`` is a sequence of iteration entries, each either a
         plain record list or a columnar
-        :class:`~repro.core.blocks.IterationSegment`.  Predictor updates
-        run in iteration order (learning predictors stay correct);
-        scoring is then grouped by prediction and, where segments are
-        dense (uniform port pattern, every predicted port above
-        ``min_port_bytes``), evaluated as one vectorized numpy pass over
-        the whole ``(iterations, leaves, ports)`` value block.  The
-        arithmetic is the same float64 arithmetic as the scalar
-        detector's, so quiet iterations produce identical results;
-        triggered or irregular leaves are re-evaluated through the
-        scalar oracle, which makes parity exact everywhere.
+        :class:`~repro.core.blocks.IterationSegment`.  This is
+        :func:`process_blocks` for one monitor: predictor updates run
+        in iteration order (learning predictors stay correct), and the
+        segments that fit the prediction's dense plan are scored as one
+        vectorized numpy pass over their ``(iterations, leaves, ports)``
+        value block.  The arithmetic is the same float64 arithmetic as
+        the scalar detector's, so quiet iterations produce identical
+        results; triggered or irregular leaves are re-evaluated through
+        the scalar oracle, which makes parity exact everywhere.
+        """
+        return process_blocks([(self, block)])[0]
+
+    def _prepare(self, block) -> tuple[list, list]:
+        """This monitor's own part of :func:`process_blocks`, in
+        iteration order: predictor updates, skipped iterations, the
+        dense-plan lookup (once per prediction, from its first entry)
+        and the scalar oracle for every entry no plan covers.
+
+        Returns the block's verdict list, ``None`` where a dense
+        candidate goes, and the candidates as ``(monitor, index, plan,
+        segment, event)``.
         """
         predictor = self.predictor
         stateless = type(predictor).update is LoadPredictor.update
@@ -314,63 +314,17 @@ class FlowPulseMonitor:
             key = id(prediction)
             predictions[key] = prediction
             groups.setdefault(key, []).append((index, entry, segment, event))
-        for key, members in groups.items():
-            self._score_group(predictions[key], members, verdicts)
-        if self.telemetry is not None:
-            # Audit in iteration order, matching the sequential path.
-            for verdict in verdicts:
-                self._audit(verdict)
-        return verdicts
-
-    def _score_group(self, prediction, members, verdicts) -> None:
-        """Score iterations that share one prediction object.
-
-        Members that fit the prediction's dense plan are scored in one
-        vectorized pass and leave as columnar verdicts; any other member
-        (record list, irregular segment, leaf order or port pattern that
-        is not the plan's) goes through the scalar oracle.
-        """
-        plan = self._dense_plan(prediction, members[0][2])
         dense = []
-        for member in members:
-            index, entry, segment, event = member
-            if plan is not None and segment is not None and _fits(plan, segment):
-                dense.append(member)
-            else:
-                records = entry if segment is None else segment.records()
-                verdicts[index] = self._score_iteration(records, event, prediction)
-        if not dense:
-            return
-        layout = plan.layout
-        expected = layout[2]
-        observed = np.empty((len(dense),) + expected.shape)
-        for position, member in enumerate(dense):
-            observed[position] = member[2].port_value_matrix()
-        magnitudes = np.abs((observed - expected) / expected)
-        worst = magnitudes.max(axis=2).tolist()
-        # Inclusive boundary, as in the scalar detector.
-        alarming = (magnitudes >= self.config.threshold).any(axis=2)
-        alarmed = alarming.any(axis=1).tolist()
-        for position, (index, _entry, segment, event) in enumerate(dense):
-            scores = worst[position]
-            scalar = {}
-            localizations = []
-            if alarmed[position]:
-                # Alarm-bearing leaves go through the scalar oracle:
-                # identical detection plus the localization pass.
-                for j in np.flatnonzero(alarming[position]).tolist():
-                    record = segment.record(j)
-                    leaf_prediction = plan.leaf_predictions[j]
-                    result = scalar[j] = self.detector.evaluate(record, leaf_prediction)
-                    scores[j] = result.max_abs_deviation
-                    if result.triggered:
-                        localizations.append(
-                            self.localizer.localize(record, leaf_prediction, result)
-                        )
-            verdicts[index] = IterationVerdict(
-                segment.iteration, event, False, (), tuple(localizations),
-                _dense=(layout, observed[position], scores, scalar),
-            )
+        for key, members in groups.items():
+            prediction = predictions[key]
+            plan = self._dense_plan(prediction, members[0][2])
+            for index, entry, segment, event in members:
+                if plan is not None and segment is not None:
+                    dense.append((self, index, plan, segment, event))
+                else:
+                    records = entry if segment is None else segment.records()
+                    verdicts[index] = self._score_iteration(records, event, prediction)
+        return verdicts, dense
 
     def _dense_plan(self, prediction, segment) -> _DensePlan | None:
         """The vectorized-scoring plan for ``prediction``, or ``None``.
@@ -477,6 +431,150 @@ class FlowPulseMonitor:
         :class:`~repro.core.blocks.IterationSegment` — one
         :meth:`process_block` over the whole run."""
         return RunVerdict(self.process_block(list(run)))
+
+
+def process_blocks(pairs, catch: tuple[type[BaseException], ...] = ()) -> list:
+    """Score several monitors' blocks in one pass: the verdict list of
+    every ``(monitor, block)`` pair, in pair order, each bit-identical
+    to that monitor's own :meth:`FlowPulseMonitor.process_iteration`
+    calls.
+
+    Each monitor first runs its own part (:meth:`FlowPulseMonitor._prepare`):
+    predictor updates in iteration order, skip handling, the dense-plan
+    lookup and the scalar oracle for entries no plan covers.  Every
+    dense candidate of every monitor is then fit-checked and scored
+    together, one numpy pass per ``(leaves, ports)`` shape
+    (:func:`_score_dense`) — the fleet worker hands over a whole flush
+    of jobs at once, so its one-iteration-per-job blocks still share
+    one pass.  Audit trails are emitted per monitor, in iteration
+    order, once every verdict is built.
+
+    An exception of a type in ``catch`` raised while handling a pair
+    takes that pair's place in the result and costs no other pair;
+    any other exception propagates.
+    """
+    results: list = []
+    by_shape: dict[tuple, list] = {}
+    for owner, (monitor, block) in enumerate(pairs):
+        try:
+            verdicts, dense = monitor._prepare(block)
+        except catch as exc:
+            results.append(exc)
+            continue
+        results.append(verdicts)
+        for candidate in dense:
+            shape = candidate[2].layout[2].shape
+            by_shape.setdefault(shape, []).append((owner,) + candidate)
+    for shape, members in by_shape.items():
+        _score_dense(shape, members, results, catch)
+    for (monitor, _block), verdicts in zip(pairs, results):
+        if monitor.telemetry is not None and isinstance(verdicts, list):
+            for verdict in verdicts:
+                monitor._audit(verdict)
+    return results
+
+
+def _score_dense(shape, members, results, catch) -> None:
+    """Fit-check and score the dense candidates of one ``(m, p)`` plan
+    shape in one numpy pass over their concatenated columns.
+
+    A candidate fits its plan when its CSR port offsets are
+    ``arange(m + 1) * p``, its port keys repeat the plan's pattern on
+    every row and its leaves are the plan's leaves — a uniform port
+    pattern equal to the plan's, in the plan's leaf order.  Fitting
+    candidates leave as columnar verdicts, their alarm-bearing leaves
+    re-scored and localized by the scalar oracle; misfits go to the
+    oracle whole.  When one plan serves every candidate its pattern,
+    leaves and expected matrix broadcast, so a monitored run's
+    iterations copy nothing of the plan.
+    """
+    m, p = shape
+    rows, misfits = [], []
+    for member in members:
+        segment = member[4]
+        fits_shape = segment.n_records == m and len(segment.port_keys) == m * p
+        (rows if fits_shape else misfits).append(member)
+    if rows:
+        n = len(rows)
+        segments = [member[4] for member in rows]
+        plans = [member[3] for member in rows]
+        first = plans[0]
+        if all(plan is first for plan in plans):
+            leaves, pattern, expected = first.leaves, first.pattern, first.layout[2]
+        else:
+            leaves = _joined([plan.leaves for plan in plans]).reshape(n, m)
+            pattern = _joined([plan.pattern for plan in plans]).reshape(n, 1, p)
+            expected = _joined([plan.layout[2] for plan in plans]).reshape(n, m, p)
+        fits = (
+            (_joined([s.leaves for s in segments]).reshape(n, m) == leaves).all(axis=1)
+            & (
+                _joined([s.port_offsets for s in segments]).reshape(n, m + 1)
+                == np.arange(0, (m + 1) * p, p)
+            ).all(axis=1)
+            & (_joined([s.port_keys for s in segments]).reshape(n, m, p) == pattern).all(
+                axis=(1, 2)
+            )
+        ).tolist()
+        observed = as_floats(
+            _joined([s.port_raw for s in segments]), _joined([s.port_flags for s in segments])
+        ).reshape(n, m, p)
+        magnitudes = observed - expected
+        magnitudes /= expected
+        worst = np.abs(magnitudes, out=magnitudes).max(axis=2)
+        threshold = rows[0][1].config.threshold
+        if any(member[1].config.threshold != threshold for member in rows):
+            threshold = np.array([member[1].config.threshold for member in rows]).reshape(n, 1)
+        # Inclusive boundary, as in the scalar detector: a leaf alarms
+        # when its worst port reaches the threshold.
+        alarming = worst >= threshold
+        alarmed = alarming.any(axis=1).tolist()
+        worst = worst.tolist()
+        for position, member in enumerate(rows):
+            if not fits[position]:
+                misfits.append(member)
+                continue
+            owner, monitor, index, plan, segment, event = member
+            verdicts = results[owner]
+            if not isinstance(verdicts, list):
+                continue  # the pair already failed
+            scores = worst[position]
+            scalar = {}
+            localizations = []
+            if alarmed[position]:
+                # Alarm-bearing leaves go through the scalar oracle:
+                # identical detection plus the localization pass.
+                try:
+                    for j in np.flatnonzero(alarming[position]).tolist():
+                        record = segment.record(j)
+                        leaf_prediction = plan.leaf_predictions[j]
+                        result = scalar[j] = monitor.detector.evaluate(record, leaf_prediction)
+                        scores[j] = result.max_abs_deviation
+                        if result.triggered:
+                            localizations.append(
+                                monitor.localizer.localize(record, leaf_prediction, result)
+                            )
+                except catch as exc:
+                    results[owner] = exc
+                    continue
+            verdicts[index] = IterationVerdict(
+                segment.iteration, event, False, (), tuple(localizations),
+                _dense=(plan.layout, observed[position], scores, scalar),
+            )
+    for owner, monitor, index, plan, segment, event in misfits:
+        verdicts = results[owner]
+        if not isinstance(verdicts, list):
+            continue
+        try:
+            verdicts[index] = monitor._score_iteration(
+                segment.records(), event, plan.prediction
+            )
+        except catch as exc:
+            results[owner] = exc
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """``np.concatenate(arrays)``, without the copy for a single array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def score_for_roc(verdict: RunVerdict, cap: float = 10.0) -> float:

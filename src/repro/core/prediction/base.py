@@ -44,6 +44,10 @@ class LoadPrediction:
     per_leaf: tuple[PortPrediction, ...]
 
     def for_leaf(self, leaf: int) -> PortPrediction:
+        if not 0 <= leaf < len(self.per_leaf):
+            raise PredictionError(
+                f"leaf {leaf} outside the {len(self.per_leaf)}-leaf prediction"
+            )
         prediction = self.per_leaf[leaf]
         if prediction.leaf != leaf:
             raise PredictionError(f"prediction misordered at leaf {leaf}")

@@ -101,6 +101,7 @@ from ..core.blocks import (
     VALUE_FLOAT,
     BlockError,
     IterationSegment,
+    keys_ascend,
     unpack_values,
 )
 from ..simnet.counters import IterationRecord
@@ -368,6 +369,9 @@ def _decode_record(entry, tag: FlowTag) -> IterationRecord:
             ): _counter(size, "sender_bytes")
             for spine, src, size in sender_triples
         }
+        if len(port_bytes) != len(port_pairs) or len(sender_bytes) != len(sender_triples):
+            # A dict keeps the last of repeated keys: the rest would vanish.
+            raise CodecError("repeated key in a record's port or sender table")
     except CodecError:
         raise
     except (TypeError, ValueError) as exc:
@@ -498,8 +502,9 @@ def encode_segment(segment: IterationSegment) -> bytes:
 # ----------------------------------------------------------------------
 # v2 frame decoding
 # ----------------------------------------------------------------------
-def _split_frame(data: bytes) -> tuple[int, bytes]:
-    """Validate a complete binary frame; return ``(kind, payload)``."""
+def _split_frame(data: bytes) -> int:
+    """Validate a complete binary frame's header; return its kind.  The
+    payload starts at ``_HEADER.size`` and is read in place."""
     if len(data) < _HEADER.size:
         raise CodecError("truncated binary frame (short header)")
     magic, version, kind, flags, length = _HEADER.unpack_from(data, 0)
@@ -520,96 +525,125 @@ def _split_frame(data: bytes) -> tuple[int, bytes]:
         raise CodecError(
             f"frame length prefix declares {length} payload bytes, got {got}"
         )
-    return kind, data[_HEADER.size :]
+    return kind
 
 
-def _decode_segment_payload(payload: bytes) -> IterationSegment:
-    """A v2 batch payload back into its columnar segment."""
-    if len(payload) < _BATCH_FIXED.size:
+#: A v2 batch's columns in wire order: name, item size, and whether
+#: there is one item per record (``m``), port (``P``) or sender (``S``).
+_V2_COLUMNS = (
+    ("port counts", 4, "m"), ("sender counts", 4, "m"),
+    ("leaves", 8, "m"), ("start_ns", 8, "m"), ("end_ns", 8, "m"),
+    ("port keys", 8, "P"), ("port values", 8, "P"), ("port flags", 1, "P"),
+    ("sender spines", 8, "S"), ("sender sources", 8, "S"), ("sender values", 8, "S"),
+    ("sender flags", 1, "S"),
+)
+
+
+def _truncated(start: int, size: int, m: int, n_ports: int = 0, n_senders: int = 0):
+    """The error naming the first column of a frame of ``size`` bytes,
+    columns from ``start``, that ends past the frame."""
+    items = {"m": m, "P": n_ports, "S": n_senders}
+    end = start
+    for what, itemsize, per in _V2_COLUMNS:
+        end += itemsize * items[per]
+        if size < end:
+            return CodecError(f"truncated v2 batch frame ({what})")
+    raise AssertionError("no column ends past the frame")
+
+
+def _decode_segment_frame(frame: bytes) -> IterationSegment:
+    """A v2 batch frame back into its columnar segment.
+
+    The columns are read-only ``np.frombuffer`` views over the frame,
+    one read per run of same-dtype adjacent columns (counts, record
+    heads, port keys and values, port flags, sender triples, sender
+    flags), split by slicing: nothing of the payload is copied.
+    """
+    size = len(frame)
+    offset = _HEADER.size + _BATCH_FIXED.size
+    if size < offset:
         raise CodecError("truncated v2 batch frame (short fixed section)")
-    job_id, iteration, n_records, collective_len = _BATCH_FIXED.unpack_from(payload, 0)
-    if n_records == 0:
+    job_id, iteration, m, collective_len = _BATCH_FIXED.unpack_from(frame, _HEADER.size)
+    if m == 0:
         raise CodecError("a record batch cannot be empty")
-    offset = _BATCH_FIXED.size
-    if len(payload) < offset + collective_len:
+    if size < offset + collective_len:
         raise CodecError("truncated v2 batch frame (collective name)")
     try:
-        collective = payload[offset : offset + collective_len].decode()
+        collective = frame[offset : offset + collective_len].decode()
     except UnicodeDecodeError as exc:
         raise CodecError(f"undecodable collective name: {exc}") from exc
     offset += collective_len
-
-    def take(dtype: np.dtype, count: int, what: str) -> np.ndarray:
-        nonlocal offset
-        nbytes = dtype.itemsize * count
-        if len(payload) < offset + nbytes:
-            raise CodecError(f"truncated v2 batch frame ({what})")
-        # Slicing copies into a fresh, aligned buffer; columns are small.
-        array = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype)
-        offset += nbytes
-        return array
-
-    port_counts = take(COUNT_DTYPE, n_records, "port counts")
-    sender_counts = take(COUNT_DTYPE, n_records, "sender counts")
-    leaves = take(KEY_DTYPE, n_records, "leaves")
-    start_ns = take(KEY_DTYPE, n_records, "start_ns")
-    end_ns = take(KEY_DTYPE, n_records, "end_ns")
-    n_ports = int(port_counts.sum())
-    n_senders = int(sender_counts.sum())
-    port_keys = take(KEY_DTYPE, n_ports, "port keys")
-    port_raw = take(RAW_DTYPE, n_ports, "port values")
-    port_flags = take(FLAG_DTYPE, n_ports, "port flags")
-    sender_spines = take(KEY_DTYPE, n_senders, "sender spines")
-    sender_srcs = take(KEY_DTYPE, n_senders, "sender sources")
-    sender_raw = take(RAW_DTYPE, n_senders, "sender values")
-    sender_flags = take(FLAG_DTYPE, n_senders, "sender flags")
-    if offset != len(payload):
-        raise CodecError(
-            f"trailing garbage: {len(payload) - offset} bytes after v2 batch payload"
-        )
+    heads_at = offset + 8 * m
+    ports_at = heads_at + 24 * m
+    if size < ports_at:
+        raise _truncated(offset, size, m)
+    # Both CSR offset columns from one cumulative sum over the two count
+    # columns, each row led by its zero.
+    offsets = np.zeros((2, m + 1), dtype=KEY_DTYPE)
+    np.frombuffer(frame, COUNT_DTYPE, 2 * m, offset).reshape(2, m).cumsum(
+        axis=1, out=offsets[:, 1:]
+    )
+    port_offsets, sender_offsets = offsets
+    n_ports, n_senders = int(port_offsets[-1]), int(sender_offsets[-1])
+    port_flags_at = ports_at + 16 * n_ports
+    senders_at = port_flags_at + n_ports
+    sender_flags_at = senders_at + 24 * n_senders
+    end = sender_flags_at + n_senders
+    if size < end:
+        raise _truncated(offset, size, m, n_ports, n_senders)
+    if size > end:
+        raise CodecError(f"trailing garbage: {size - end} bytes after v2 batch payload")
+    heads = np.frombuffer(frame, KEY_DTYPE, 3 * m, heads_at)
+    ports = np.frombuffer(frame, KEY_DTYPE, 2 * n_ports, ports_at)
+    port_flags = np.frombuffer(frame, FLAG_DTYPE, n_ports, port_flags_at)
+    senders = np.frombuffer(frame, KEY_DTYPE, 3 * n_senders, senders_at)
+    sender_flags = np.frombuffer(frame, FLAG_DTYPE, n_senders, sender_flags_at)
+    port_raw = ports[n_ports:]
+    sender_raw = senders[2 * n_senders :]
     for flags, raw, where in (
         (port_flags, port_raw, "port_bytes"),
         (sender_flags, sender_raw, "sender_bytes"),
     ):
-        if flags.size and int(flags.max(initial=0)) > VALUE_FLOAT:
+        top = int(flags.max(initial=0))
+        if top > VALUE_FLOAT:
             raise CodecError(f"unknown value flag in {where}")
-        mask = flags == VALUE_FLOAT
-        if mask.any() and not np.isfinite(raw.view(FLOAT_DTYPE)[mask]).all():
+        if top == VALUE_FLOAT and not np.isfinite(raw.view(FLOAT_DTYPE)[flags == VALUE_FLOAT]).all():
             raise CodecError(f"non-finite value in {where}")
-    zero = np.zeros(1, dtype=KEY_DTYPE)
     return IterationSegment(
         job_id=job_id,
         iteration=iteration,
         collective=collective,
-        leaves=leaves,
-        start_ns=start_ns,
-        end_ns=end_ns,
-        port_offsets=np.concatenate((zero, np.cumsum(port_counts))).astype(KEY_DTYPE),
-        port_keys=port_keys,
+        leaves=heads[:m],
+        start_ns=heads[m : 2 * m],
+        end_ns=heads[2 * m :],
+        port_offsets=port_offsets,
+        port_keys=ports[:n_ports],
         port_raw=port_raw,
         port_flags=port_flags,
-        sender_offsets=np.concatenate((zero, np.cumsum(sender_counts))).astype(
-            KEY_DTYPE
-        ),
-        sender_spines=sender_spines,
-        sender_srcs=sender_srcs,
+        sender_offsets=sender_offsets,
+        sender_spines=senders[:n_senders],
+        sender_srcs=senders[n_senders : 2 * n_senders],
         sender_raw=sender_raw,
         sender_flags=sender_flags,
     )
 
 
 def _segment_to_batch(segment: IterationSegment) -> RecordBatch:
+    try:
+        records = tuple(segment.records())
+    except BlockError as exc:
+        raise CodecError(str(exc)) from exc
     return RecordBatch(
         job_id=segment.job_id,
         iteration=segment.iteration,
         collective=segment.collective,
-        records=tuple(segment.records()),
+        records=records,
     )
 
 
-def _decode_job_payload(payload: bytes) -> JobConfig:
+def _decode_job_frame(frame: bytes) -> JobConfig:
     try:
-        data = json.loads(payload.decode(), parse_constant=_reject_constant)
+        data = json.loads(frame[_HEADER.size :].decode(), parse_constant=_reject_constant)
     except CodecError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -702,18 +736,6 @@ def _batch_line(line: str) -> tuple[FlowTag, list]:
     return tag, entries
 
 
-def _keys_ascend(offsets: np.ndarray, *keys: np.ndarray) -> bool:
-    """Whether each record's keys strictly increase, in lexicographic
-    order over ``keys`` — what our encoder writes and
-    :meth:`IterationSegment.from_records` produces."""
-    rising = False
-    for column in reversed(keys):
-        rising = (column[1:] > column[:-1]) | ((column[1:] == column[:-1]) & rising)
-    starts = offsets[1:-1]
-    rising[starts[(starts > 0) & (starts < len(keys[0]))] - 1] = True  # a record may start low
-    return bool(rising.all())
-
-
 def _scan_batch_line(line: str) -> IterationSegment | None:
     """A v1 batch line exactly as :func:`_segment_line` writes it, read
     straight into columns by C-level passes — or ``None`` for any other
@@ -767,8 +789,8 @@ def _scan_batch_line(line: str) -> IterationSegment | None:
     port_offsets = np.append(np.cumsum(pair, dtype=KEY_DTYPE)[entry], n_pairs)
     sender_offsets = np.append(np.cumsum(triple, dtype=KEY_DTYPE)[entry], len(sender_raw))
     if not (
-        _keys_ascend(port_offsets, port_keys)
-        and _keys_ascend(sender_offsets, sender_spines, sender_srcs)
+        keys_ascend(port_offsets, port_keys)
+        and keys_ascend(sender_offsets, sender_spines, sender_srcs)
     ):
         return None
     return IterationSegment(
@@ -809,10 +831,10 @@ def decode_batch_segment(data: str | bytes) -> IterationSegment:
     through :func:`_decode_record`, with its typed errors.
     """
     if isinstance(data, (bytes, bytearray)):
-        kind, payload = _split_frame(bytes(data))
-        if kind != _KIND_BATCH:
+        frame = bytes(data)  # a bytearray is copied once: no view aliases it
+        if _split_frame(frame) != _KIND_BATCH:
             raise CodecError("expected a batch frame, got a job frame")
-        return _decode_segment_payload(payload)
+        return _decode_segment_frame(frame)
     segment = _scan_batch_line(data)
     if segment is None:
         tag, entries = _batch_line(data)
@@ -829,10 +851,10 @@ def decode_job(data: str | bytes) -> JobConfig:
     """Parse one job unit (either version) back into an exact
     :class:`JobConfig`."""
     if isinstance(data, (bytes, bytearray)):
-        kind, payload = _split_frame(bytes(data))
-        if kind != _KIND_JOB:
+        frame = bytes(data)
+        if _split_frame(frame) != _KIND_JOB:
             raise CodecError("expected a job frame, got a batch frame")
-        return _decode_job_payload(payload)
+        return _decode_job_frame(frame)
     kind, payload = _parse_line(data)
     if kind != "j":
         raise CodecError(f"expected a job line, got kind {kind!r}")
@@ -848,10 +870,9 @@ def decode_line(data: str | bytes):
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data)
         if data[:1] == BINARY_MAGIC[:1]:
-            kind, payload = _split_frame(data)
-            if kind == _KIND_BATCH:
-                return "b", _segment_to_batch(_decode_segment_payload(payload))
-            return "j", _decode_job_payload(payload)
+            if _split_frame(data) == _KIND_BATCH:
+                return "b", _segment_to_batch(_decode_segment_frame(data))
+            return "j", _decode_job_frame(data)
         try:
             data = data.decode()
         except UnicodeDecodeError as exc:
@@ -982,8 +1003,7 @@ class StreamDecoder:
         return decode_line(line)
 
     def _emit_frame(self, frame: bytes):
-        kind, _payload = _split_frame(frame)
-        label = "b" if kind == _KIND_BATCH else "j"
+        label = "b" if _split_frame(frame) == _KIND_BATCH else "j"
         if self.raw:
             return label, frame
         return decode_line(frame)

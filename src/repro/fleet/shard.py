@@ -12,9 +12,9 @@ The worker (:func:`shard_worker`) owns the monitors of the jobs routed
 to it: it decodes incoming wire units — v1 JSON lines are a text
 encoding of the columns v2 frames carry as bytes, so both reach the
 monitor as columnar :class:`~repro.core.blocks.IterationSegment` —
-coalesces queued batches, scores them per job through
-:meth:`~repro.core.monitor.FlowPulseMonitor.process_block`, and
-ships verdicts back on its private framed outbox pipe.  Everything it touches is
+coalesces queued batches, scores each coalesced flush, every job in
+it, in one :func:`~repro.core.monitor.process_blocks` call, and ships
+verdicts back on its private framed outbox pipe.  Everything it touches is
 deterministic given the job configs and record stream, which is what
 makes the service's golden-parity guarantee (bit-identical verdicts to
 a direct monitor feed) testable.
@@ -36,7 +36,7 @@ import queue as queue_module
 
 from ..analysis.experiments import build_trial, make_predictor
 from ..core.detection import DetectionConfig
-from ..core.monitor import FlowPulseMonitor
+from ..core.monitor import FlowPulseMonitor, process_blocks
 from ..telemetry.registry import MetricsRegistry
 from .codec import CodecError, JobConfig, decode_batch_segment
 
@@ -178,13 +178,15 @@ def shard_worker(
     - ``("stop",)`` — drain finished; ship metrics and exit.
 
     Each wake-up drains up to ``coalesce`` queued messages and scores
-    the drained batches job by job through
-    :meth:`~repro.core.monitor.FlowPulseMonitor.process_block` — units
-    of either wire version decode to columnar segments, whole runs of
-    iterations are scored in one vectorized pass and only alarm-bearing
-    leaves reach the scalar oracle.  Per-job batch order
-    is preserved (the golden-parity invariant); control messages act as
-    barriers, flushing buffered batches before taking effect.
+    the drained batches of every job in one
+    :func:`~repro.core.monitor.process_blocks` call — units of either
+    wire version decode to columnar segments, every job's iterations
+    are fit-checked and scored in one vectorized pass per fabric shape
+    and only alarm-bearing leaves reach the scalar oracle.  Per-job
+    batch order is preserved (the golden-parity invariant); control
+    messages act as barriers, flushing buffered batches before taking
+    effect.  ``fleet.detect_compute_s`` observes, once per unit, the
+    flush's scoring time divided by its units.
 
     Outbox messages (the verdicts and summaries of one flush share one
     frame; everything else is a frame of its own):
@@ -197,8 +199,10 @@ def shard_worker(
     - ``("heartbeat", shard, epoch, seq, wall_time)`` — liveness beacon,
       sent at least every ``heartbeat_every`` seconds (idle wake-ups
       included) when the interval is configured.
-    - ``("error", shard, detail)`` — a message that failed to process
-      (the worker keeps going; errors are counted, never fatal).
+    - ``("error", shard, detail)`` — a unit that failed to decode, or a
+      job whose update or scoring raised (that job's batches of the
+      flush are lost; the worker keeps going; errors are counted,
+      never fatal).
     - ``("metrics", shard, snapshot)`` then ``("done", shard)`` on stop.
     """
     if coalesce < 1:
@@ -251,17 +255,19 @@ def shard_worker(
             last_beat = now
 
     def flush(pending: list) -> None:
-        """Decode and score buffered batch messages, grouped by job.
+        """Decode buffered batch messages and score the whole flush in
+        one :func:`~repro.core.monitor.process_blocks` call, one block
+        per job.
 
         Grouping only reorders *across* jobs; within a job the entries
         keep arrival order, so each monitor still sees its iterations
-        in sequence.  One malformed unit costs one error, not the
-        whole flush.  The flush's verdicts and summaries leave as one
-        outbox frame.
+        in sequence.  One malformed unit costs one error, and a job
+        whose update or scoring raises costs one error for that job
+        only: every other job of the flush is scored and shipped.  The
+        flush's verdicts and summaries leave as one outbox frame.
         """
         if not pending:
             return
-        out: list = []
         groups: dict[int, list] = {}  # job -> [(segment, submitted_at, replayed)]
         for kind, unit, _n_records, submitted_at in pending:
             try:
@@ -272,19 +278,25 @@ def shard_worker(
             groups.setdefault(segment.job_id, []).append(
                 (segment, submitted_at, kind == "replay")
             )
+        jobs, pairs = [], []
         for job_id, members in groups.items():
             monitor = monitors.get(job_id)
             if monitor is None:
                 unknown_c.inc(len(members))
                 continue
-            started = time.perf_counter()
-            try:
-                verdicts = monitor.process_block([member[0] for member in members])
-            except (FleetError, RuntimeError, ValueError) as exc:
-                report_error(exc)
+            jobs.append((job_id, members))
+            pairs.append((monitor, [member[0] for member in members]))
+        if not pairs:
+            return
+        started = time.perf_counter()
+        scored = process_blocks(pairs, catch=(FleetError, RuntimeError, ValueError))
+        per_batch_s = (time.perf_counter() - started) / sum(len(block) for _, block in pairs)
+        now = time.time()
+        out: list = []
+        for (job_id, members), verdicts in zip(jobs, scored):
+            if not isinstance(verdicts, list):
+                report_error(verdicts)
                 continue
-            per_batch_s = (time.perf_counter() - started) / len(members)
-            now = time.time()
             for verdict, (segment, submitted_at, replayed) in zip(verdicts, members):
                 detect_h.observe(per_batch_s)
                 latency_h.observe(max(0.0, now - submitted_at))

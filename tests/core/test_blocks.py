@@ -9,14 +9,16 @@ same iterations one at a time through ``process_iteration``.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, build_trial, demand_for, make_predictor
-from repro.core.blocks import BlockError, IterationSegment, segments_from_run
+from repro.core.blocks import BlockError, IterationSegment, as_floats, segments_from_run
 from repro.core.detection import DetectionConfig
-from repro.core.monitor import FlowPulseMonitor, RunVerdict
+from repro.core.monitor import FlowPulseMonitor, RunVerdict, process_blocks
+from repro.core.prediction import PredictionError
 from repro.core.prediction.learning import LearningEvent
 from repro.fastsim.model import run_iterations, run_segments
 from repro.simnet.counters import IterationRecord
@@ -182,10 +184,9 @@ def test_port_pattern_uniform():
     records = [make_record(leaf=leaf, port_bytes={2: 5, 0: 7}) for leaf in range(3)]
     segment = IterationSegment.from_records(records)
     assert list(segment.port_pattern()) == [0, 2]  # sorted within record
-    matrix = segment.port_value_matrix()
-    assert matrix.shape == (3, 2)
-    assert matrix.dtype == np.float64
-    assert matrix[0].tolist() == [7.0, 5.0]
+    values = as_floats(segment.port_raw, segment.port_flags)
+    assert values.dtype == np.float64
+    assert values.tolist() == [7.0, 5.0] * 3
 
 
 def test_port_pattern_irregular_is_none():
@@ -195,8 +196,6 @@ def test_port_pattern_irregular_is_none():
     ]
     segment = IterationSegment.from_records(records)
     assert segment.port_pattern() is None
-    with pytest.raises(BlockError, match="pattern"):
-        segment.port_value_matrix()
 
 
 def test_segments_from_run():
@@ -387,3 +386,128 @@ def test_segment_unlike_the_cached_plan_takes_the_scalar_oracle(change):
     got = monitor.process_block(columnar(block))
     assert [v._dense is not None for v in got] == [True, False, True]
     assert_verdict_parity(got, reference)
+
+
+# ----------------------------------------------------------------------
+# process_blocks: many monitors, one pass
+# ----------------------------------------------------------------------
+def with_port_values(records, convert):
+    return [
+        IterationRecord(
+            leaf=r.leaf, tag=r.tag,
+            port_bytes={spine: convert(size) for spine, size in r.port_bytes.items()},
+            sender_bytes=r.sender_bytes, start_ns=r.start_ns, end_ns=r.end_ns,
+        )
+        for r in records
+    ]
+
+
+def without_last_port(records, leaf_index):
+    """An irregular iteration: one leaf reports one port fewer."""
+    doctored = list(records)
+    r = doctored[leaf_index]
+    ports = dict(r.port_bytes)
+    ports.pop(max(ports))
+    doctored[leaf_index] = IterationRecord(
+        leaf=r.leaf, tag=r.tag, port_bytes=ports,
+        sender_bytes=r.sender_bytes, start_ns=r.start_ns, end_ns=r.end_ns,
+    )
+    return doctored
+
+
+def test_process_blocks_parity_matrix():
+    """One ``process_blocks`` call over monitors of two fabric shapes
+    (8x4 and 32x16), both predictors (warm-up skips and a rebaseline
+    inside the call), a monitor whose prediction knows a disabled link
+    (no dense plan), a monitor handed two blocks, and entries of every
+    kind — columnar, record lists, float counters, an irregular port
+    set, a reversed leaf order — quiet and alarm-bearing alike, under
+    two thresholds.  Every
+    verdict equals its own monitor's sequential ``process_iteration``."""
+    small = experiment(n_leaves=8, n_spines=4)
+    big = experiment(n_leaves=32, n_spines=16, collective_bytes=8 << 30, n_iterations=4)
+    learned = experiment(n_leaves=8, n_spines=4, predictor="learned", n_iterations=12)
+    disabled = experiment(n_leaves=8, n_spines=4, n_preexisting=1)
+    runs = {
+        "small": (small, *run_records(small)),
+        "big": (big, *run_records(big, faulted=False)),
+        "learned": (learned, *run_records(learned, heals_at=5)),
+        "disabled": (disabled, *run_records(disabled)),
+        "loose": (replace(small, threshold=0.05), *run_records(small)),
+    }
+    small_runs = runs["small"][2]
+    small_runs[1] = with_port_values(small_runs[1], float)
+    small_runs[6] = with_port_values(small_runs[6], lambda size: size + 0.5)
+    small_runs[2] = without_last_port(small_runs[2], 3)
+    small_runs[7] = list(reversed(small_runs[7]))
+
+    def entries(name, iterations):
+        if name != "small":
+            return columnar(iterations)
+        # record lists at 3 and 8, columnar segments everywhere else
+        return [
+            list(records) if index in (3, 8) else columnar([records])[0]
+            for index, records in enumerate(iterations)
+        ]
+
+    monitors = {name: fresh_monitor(config, setup) for name, (config, setup, _) in runs.items()}
+    pairs, owners = [], []
+    for name, (_config, _setup, iterations) in runs.items():
+        block = entries(name, iterations)
+        halves = [block[:5], block[5:]] if name == "learned" else [block]
+        for half in halves:
+            pairs.append((monitors[name], half))
+            owners.append(name)
+    # Interleave the monitors, the loose threshold first in its shape
+    # group; the learned monitor's halves keep their order.
+    order = [5, 4, 0, 2, 1, 3]
+    pairs, owners = [pairs[i] for i in order], [owners[i] for i in order]
+    assert owners.index("learned") < len(owners) - 1 - owners[::-1].index("learned")
+
+    got = {name: [] for name in runs}
+    for name, verdicts in zip(owners, process_blocks(pairs)):
+        got[name].extend(verdicts)
+    for name, (config, setup, iterations) in runs.items():
+        oracle = fresh_monitor(config, setup)
+        reference = [oracle.process_iteration(list(records)) for records in iterations]
+        assert_verdict_parity(got[name], reference)
+
+    def dense(name):
+        return [v._dense is not None for v in got[name]]
+
+    small_dense = dense("small")
+    assert small_dense[0] and small_dense[1] and small_dense[6]  # ints and floats
+    assert not any(small_dense[i] for i in (2, 3, 7, 8))  # irregular, lists, misfit
+    assert all(dense("big"))
+    assert not any(dense("disabled")) and monitors["disabled"]._plan is None
+    events = [v.learning_event for v in got["learned"]]
+    assert LearningEvent.WARMUP in events and LearningEvent.REBASELINED in events
+    assert any(dense("learned"))
+    for name in ("small", "disabled"):
+        assert any(v.triggered for v in got[name]), name
+    assert any(v.triggered and v._dense is not None for v in got["small"])
+    assert not all(v.triggered for v in got["small"])
+    # one threshold per monitor: the loose one alarms less on the same run
+    assert sum(v.triggered for v in got["loose"]) < sum(v.triggered for v in got["small"])
+
+
+def test_process_blocks_isolates_a_failing_pair_only_when_asked():
+    """A block whose leaf lies outside the monitor's fabric raises a
+    ``PredictionError``; with ``catch`` it takes that pair's place and
+    every other pair is still scored."""
+    config = experiment()
+    setup, iterations = run_records(config)
+    good = columnar(iterations)
+    bad = columnar(iterations[:2])
+    bad[1].leaves = bad[1].leaves + 100
+    oracle = fresh_monitor(config, setup)
+    reference = [oracle.process_iteration(list(r)) for r in iterations]
+
+    def pairs():
+        return [(fresh_monitor(config, setup), good), (fresh_monitor(config, setup), bad)]
+
+    with pytest.raises(PredictionError, match="outside"):
+        process_blocks(pairs())
+    scored, failed = process_blocks(pairs(), catch=(RuntimeError,))
+    assert isinstance(failed, PredictionError)
+    assert_verdict_parity(scored, reference)

@@ -31,3 +31,13 @@ SMALL_LOADGEN = LoadGenConfig(
 def small_workload():
     """``(jobs, batches)`` of a 5-job workload with 2 faulted jobs."""
     return generate_workload(SMALL_LOADGEN)
+
+
+#: Three 8x4 jobs (the load generator's default fabric), one faulted.
+LOADGEN_8X4 = LoadGenConfig(n_jobs=3, n_iterations=4, fault_fraction=0.34, base_seed=5)
+
+
+@pytest.fixture(scope="session")
+def workload_8x4():
+    """``(jobs, batches)`` of :data:`LOADGEN_8X4`."""
+    return generate_workload(LOADGEN_8X4)

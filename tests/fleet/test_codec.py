@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentConfig
-from repro.core.blocks import SEGMENT_COLUMNS, IterationSegment
+from repro.core.blocks import SEGMENT_COLUMNS, BlockError, IterationSegment
 from repro.fleet import (
     CodecError,
     JobConfig,
@@ -229,16 +229,64 @@ def test_v1_unsorted_keys_decode_as_the_record_route_sorts_them():
     )
 
 
-def test_v1_duplicate_keys_keep_the_last_value_like_the_record_route():
+#: Records whose port or sender table names a key twice, or out of order.
+REPEATED_PORT = {"port_keys": [1, 1], "port_raw": [100, 200]}
+REPEATED_SENDER = {"sender_spines": [0, 0], "sender_srcs": [1, 1], "sender_raw": [5, 6]}
+UNSORTED_PORTS = {"port_keys": [2, 1], "port_raw": [100, 200]}
+
+
+def doctored_segment(**columns) -> IterationSegment:
+    """A one-record segment with the given columns replaced, as a v2
+    writer that does not sort or deduplicate would frame it."""
+    segment = IterationSegment.from_records([make_record(port_bytes={0: 1}, sender_bytes={})])
+    for name, values in columns.items():
+        setattr(segment, name, np.array(values, dtype=np.int64))
+    n_ports, n_senders = len(segment.port_keys), len(segment.sender_spines)
+    segment.port_offsets = np.array([0, n_ports])
+    segment.port_flags = np.zeros(n_ports, dtype=np.uint8)
+    segment.sender_offsets = np.array([0, n_senders])
+    segment.sender_flags = np.zeros(n_senders, dtype=np.uint8)
+    segment._records = None
+    return segment
+
+
+@pytest.mark.parametrize("column", [3, 4], ids=["port", "sender"])
+def test_v1_repeated_keys_rejected_by_both_decoders(column):
+    """A dict keeps the last of repeated keys, so ``[[1,100],[1,200]]``
+    used to decode to ``{1: 200}``: a hundred bytes gone without a
+    word.  Both decoders refuse the line instead."""
+
     def repeat(entries):
-        entries[0][3].append([0, 77])  # port 0 again, after port 1
-        entries[2][4].insert(1, [0, 1, 5])  # sender (0, 1) twice in a row
+        table = entries[1][column]
+        table.insert(1, list(table[0]))
 
     line = doctored_line(make_batch(), repeat)
-    assert_decoders_agree(line)
-    records = decode_batch_segment(line).records()
-    assert records[0].port_bytes == {0: 77, 1: 2000}
-    assert records[2].sender_bytes[(0, 1)] == 5
+    for decode in (decode_batch, decode_batch_segment):
+        with pytest.raises(CodecError, match="repeated key"):
+            decode(line)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [REPEATED_PORT, REPEATED_SENDER, UNSORTED_PORTS],
+    ids=["repeated-port", "repeated-sender", "unsorted-ports"],
+)
+def test_v2_keys_that_do_not_ascend_are_refused_where_records_are_built(columns):
+    """A v2 frame's columns carry what the frame says (the dense path
+    reads them as they are), but no record is built from keys that
+    repeat or descend: ``decode_batch`` raises ``CodecError`` and a
+    decoded segment's ``records()`` raises ``BlockError``."""
+    frame = encode_batch(doctored_segment(**columns), version=2)
+    segment = decode_batch_segment(frame)
+    for name, values in columns.items():
+        assert getattr(segment, name).tolist() == values
+    with pytest.raises(BlockError, match="ascend"):
+        segment.records()
+    with pytest.raises(BlockError, match="ascend"):
+        segment.record(0)
+    for decode in (decode_batch, decode_line):
+        with pytest.raises(CodecError, match="ascend"):
+            decode(frame)
 
 
 BAD_COUNTERS = ["null", '"abc"', "true", "[1]", "{}", "1e999"]

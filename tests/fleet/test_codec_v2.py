@@ -127,6 +127,23 @@ def test_v2_segment_decode_matches_records():
     assert decode_batch_segment(encode_batch(batch)).records() == list(batch.records)
 
 
+def test_v2_columns_are_read_only_and_never_alias_a_mutable_buffer():
+    """Frame columns are read in place, as read-only views; a
+    ``bytearray`` is copied once first, so writing to it afterwards
+    cannot change a decoded segment."""
+    batch = make_batch(n_leaves=3)
+    frame = encode_batch(batch, version=FPREC_VERSION_BINARY)
+    segment = decode_batch_segment(frame)
+    assert not any(
+        getattr(segment, name).flags.writeable
+        for name in ("leaves", "start_ns", "end_ns", "port_keys", "port_raw", "port_flags")
+    )
+    mutable = bytearray(frame)
+    from_mutable = decode_batch_segment(mutable)
+    mutable[:] = bytes(len(mutable))
+    assert from_mutable.records() == list(batch.records)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_v2_non_finite_rejected_on_encode(bad):
     batch = make_batch(port_bytes={0: bad})

@@ -20,6 +20,7 @@ import pytest
 from repro.fleet import (
     FleetConfig,
     LoadGenConfig,
+    encode_batch,
     generate_workload,
     reference_verdicts,
     transport,
@@ -28,6 +29,12 @@ from repro.fleet.ha import HAConfig, HAFleetService, HeartbeatMonitor, grow
 from repro.fleet.shard import FleetError
 
 from .conftest import SMALL_EXPERIMENT
+from .test_service import (
+    assert_one_error_and_the_rest_scored,
+    outside_the_fabric,
+    stray_unit_among_valid_batches,
+    submit_stream,
+)
 
 
 def ha_service(n_shards: int, **ha_overrides) -> HAFleetService:
@@ -392,3 +399,29 @@ def test_result_ledger_shapes(small_workload):
     assert result.shed_unique_records == 0
     assert result.lost_records == 0
     assert result.accounting_ok
+
+
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_leaf_outside_the_fabric_is_one_error_not_a_failover_cascade(
+    workload_8x4, wire_version
+):
+    """One unit whose leaf ids lie outside its job's fabric used to kill
+    its shard; failover replayed it into the survivor, which died too.
+    Now it is one worker error: no failover, every other batch scored
+    exactly as the direct feed scores it, and ``close()`` returns."""
+    jobs, _batches = workload_8x4
+    stream, valid = stray_unit_among_valid_batches(
+        workload_8x4,
+        lambda segment: encode_batch(outside_the_fabric(segment), version=wire_version),
+    )
+    service = HAFleetService(
+        FleetConfig(n_shards=2, return_verdicts=True, wire_version=wire_version),
+        ha=HAConfig(),
+    )
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        submit_stream(service, stream)
+    result = service.result
+    assert result.failovers == 0
+    assert_one_error_and_the_rest_scored(result, jobs, valid, "PredictionError")

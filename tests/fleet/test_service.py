@@ -6,19 +6,24 @@ import contextlib
 import json
 import multiprocessing
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.experiments import ExperimentConfig, build_trial
+from repro.core.blocks import SEGMENT_COLUMNS, IterationSegment
 from repro.fleet import (
     CodecError,
     FleetConfig,
     FleetError,
     FleetService,
+    JobConfig,
     encode_batch,
     reference_verdicts,
     serve_workload,
     shard,
 )
+from repro.fleet.loadgen import job_records
 
 from .test_codec import NON_JSON_INTS, with_head_field
 
@@ -361,3 +366,160 @@ def test_submit_before_start_raises(small_workload):
         service.submit(batches[0])
     with pytest.raises(FleetError, match="not started"):
         service.submit_job(jobs[0])
+
+
+def doctored(segment: IterationSegment, **columns) -> IterationSegment:
+    """A fresh segment with ``segment``'s tag and columns, some replaced."""
+    fields = {name: getattr(segment, name).copy() for name in SEGMENT_COLUMNS}
+    fields.update(columns)
+    return IterationSegment(segment.job_id, segment.iteration, segment.collective, **fields)
+
+
+def outside_the_fabric(segment: IterationSegment) -> IterationSegment:
+    """Every leaf id moved 100 past the job's fabric."""
+    return doctored(segment, leaves=segment.leaves + 100)
+
+
+def stray_unit_among_valid_batches(workload, make_unit):
+    """The workload's last job gets one doctored unit and nothing else,
+    in the middle of the other jobs' batches.  Returns the stream and
+    those other jobs' batches."""
+    jobs, batches = workload
+    stray = jobs[-1].job_id
+    valid = [batch for batch in batches if batch.job_id != stray]
+    unit = make_unit(next(batch for batch in batches if batch.job_id == stray))
+    middle = len(valid) // 2
+    return valid[:middle] + [unit] + valid[middle:], valid
+
+
+def submit_stream(service, stream):
+    for entry in stream:
+        if isinstance(entry, (str, bytes)):
+            service.submit_encoded(entry)
+        else:
+            service.submit(entry)
+
+
+def assert_one_error_and_the_rest_scored(result, jobs, valid, error):
+    """One worker error naming ``error``; the last job (the stray
+    unit's) has no verdict and every other job the direct feed's."""
+    assert len(result.errors) == 1 and error in result.errors[0], result.errors
+    assert metric(result, "fleet.worker_errors") == 1
+    assert result.processed_batches == len(valid)
+    reference = reference_verdicts(jobs[:-1], valid)
+    for job in jobs[:-1]:
+        assert result.verdicts_for(job.job_id) == reference[job.job_id]
+    assert result.verdicts_for(jobs[-1].job_id) == []
+
+
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_leaf_outside_the_fabric_costs_one_error_not_the_shard(
+    workload_8x4, monkeypatch, wire_version
+):
+    """One unit whose leaf ids lie outside its 8x4 job's fabric, in one
+    flush with two other jobs' batches: one ``PredictionError``, every
+    other batch scored exactly as the direct feed scores it, and
+    ``close()`` returns.  (The leaf used to index past the prediction
+    and kill the worker with an ``IndexError``.)"""
+    jobs, _batches = workload_8x4
+    stream, valid = stray_unit_among_valid_batches(
+        workload_8x4,
+        lambda segment: encode_batch(outside_the_fabric(segment), version=wire_version),
+    )
+    config = FleetConfig(n_shards=1, return_verdicts=True, wire_version=wire_version)
+    with held_service(monkeypatch, config, jobs) as service:
+        submit_stream(service, stream)
+    assert_one_error_and_the_rest_scored(service.result, jobs, valid, "PredictionError")
+
+
+def repeated_key(segment: IterationSegment, table: str) -> IterationSegment:
+    """The first record names its first port (or sender) key twice:
+    the second slot takes the first's key and keeps its own bytes."""
+    if table == "port":
+        keys = segment.port_keys.copy()
+        keys[1] = keys[0]
+        return doctored(segment, port_keys=keys)
+    spines, srcs = segment.sender_spines.copy(), segment.sender_srcs.copy()
+    spines[1], srcs[1] = spines[0], srcs[0]
+    return doctored(segment, sender_spines=spines, sender_srcs=srcs)
+
+
+@pytest.mark.parametrize("table", ["port", "sender"])
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_repeated_key_is_never_scored_from_a_collapsed_dict(
+    workload_8x4, monkeypatch, wire_version, table
+):
+    """A unit whose first record repeats a key, in one flush with two
+    other jobs' batches.  No verdict is built from a dict that kept one
+    of the two values: a v1 line fails to decode, and a v2 frame whose
+    port keys repeat misses the dense plan and fails where the scalar
+    path builds its records.  A v2 frame whose *sender* keys repeat is
+    the one unit that scores: the dense pass never reads sender
+    columns, and the doctored quiet unit is scored on its port columns
+    exactly as the untouched unit is."""
+    jobs, batches = workload_8x4
+    healthy = next(job for job in jobs if not job.faulted)
+    jobs = [job for job in jobs if job is not healthy] + [healthy]
+    stream, valid = stray_unit_among_valid_batches(
+        (jobs, batches),
+        lambda segment: encode_batch(repeated_key(segment, table), version=wire_version),
+    )
+    config = FleetConfig(n_shards=1, return_verdicts=True, wire_version=wire_version)
+    with held_service(monkeypatch, config, jobs) as service:
+        submit_stream(service, stream)
+    result = service.result
+    if wire_version == 2 and table == "sender":
+        original = next(batch for batch in batches if batch.job_id == healthy.job_id)
+        assert result.errors == []
+        assert result.verdicts_for(healthy.job_id) == (
+            reference_verdicts([healthy], [original])[healthy.job_id]
+        )
+        return
+    error = "CodecError" if wire_version == 1 else "BlockError"
+    assert_one_error_and_the_rest_scored(result, jobs, valid, error)
+
+
+def mixed_workload(n_iterations: int = 6):
+    """Eight jobs over two fabric shapes and both predictors (one
+    learned job with its own threshold), every third job faulted,
+    interleaved iteration-major as the load generator does."""
+    templates = [
+        ExperimentConfig(n_leaves=8, n_spines=4, collective_bytes=1 << 30),
+        ExperimentConfig(n_leaves=8, n_spines=4, collective_bytes=1 << 30, predictor="learned"),
+        ExperimentConfig(n_leaves=32, n_spines=16, collective_bytes=8 << 30),
+        ExperimentConfig(
+            n_leaves=8, n_spines=4, collective_bytes=1 << 30, predictor="learned",
+            threshold=0.02,
+        ),
+    ]
+    jobs = []
+    for job_id, template in enumerate(templates * 2, start=1):
+        experiment = replace(template, job_id=job_id, n_iterations=n_iterations)
+        faulted = job_id % 3 == 0
+        setup = build_trial(experiment, base_seed=7, trial=job_id)
+        jobs.append(
+            JobConfig(
+                job_id=job_id, experiment=experiment, base_seed=7, trial=job_id,
+                faulted=faulted, fault_link=setup.fault_link if faulted else None,
+            )
+        )
+    streams = [job_records(None, job) for job in jobs]
+    return jobs, [stream[i] for i in range(n_iterations) for stream in streams]
+
+
+@pytest.mark.parametrize("wire_version", [1, 2])
+def test_golden_parity_one_shard_mixed_shapes_and_predictors(wire_version):
+    """At one shard every flush holds every job: 8x4 and 32x16 monitors,
+    analytical and learned (warm-up skips included), share each
+    scoring pass, and the verdicts still equal the direct feed's."""
+    jobs, batches = mixed_workload()
+    reference = reference_verdicts(jobs, batches)
+    result = serve_workload(
+        jobs, batches,
+        FleetConfig(n_shards=1, return_verdicts=True, wire_version=wire_version),
+    )
+    assert result.errors == []
+    for job in jobs:
+        assert result.verdicts_for(job.job_id) == reference[job.job_id]
+    assert any(v.skipped for job in jobs for v in reference[job.job_id])
+    assert any(v.triggered for job in jobs for v in reference[job.job_id])
