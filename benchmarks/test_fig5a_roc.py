@@ -18,11 +18,9 @@ import os
 from repro.analysis import (
     ExperimentConfig,
     SweepRunner,
-    SweepTask,
     format_percent,
     format_table,
 )
-from repro.core import roc_curve
 from repro.units import GIB
 
 DROP_RATES = (0.005, 0.008, 0.010, 0.015, 0.020, 0.030)
@@ -39,30 +37,14 @@ BASE = dict(
 
 
 def experiment():
-    # One flat task grid through the sweep runner.  Negative trials are
-    # fault-independent: run once, reuse across rates.
+    # The one ROC grid (shared with `repro roc`): negative trials are
+    # fault-independent, so they run once and score every rate's curve.
     runner = SweepRunner(jobs=JOBS)
-    tasks = [
-        SweepTask(
-            config=ExperimentConfig(**BASE), injected=False, base_seed=100, trial=t
-        )
-        for t in range(N_TRIALS)
-    ]
-    for drop in DROP_RATES:
-        config = ExperimentConfig(**BASE, drop_rate=drop)
-        tasks.extend(
-            SweepTask(config=config, injected=True, base_seed=100, trial=t)
-            for t in range(N_TRIALS)
-        )
-    outcomes = runner.run_tasks(tasks)
-    negative_scores = [o.score for o in outcomes[:N_TRIALS]]
-    curves = {}
-    for idx, drop in enumerate(DROP_RATES):
-        chunk = outcomes[(idx + 1) * N_TRIALS : (idx + 2) * N_TRIALS]
-        curves[drop] = roc_curve(
-            [o.score for o in chunk], negative_scores, THRESHOLDS
-        )
-    return curves, negative_scores, runner.last_stats
+    grid = runner.roc(
+        ExperimentConfig(**BASE), DROP_RATES, THRESHOLDS, n_trials=N_TRIALS, base_seed=100
+    )
+    curves = {batch.config.drop_rate: points for batch, points in grid}
+    return curves, grid[0][0].negative_scores, runner.last_stats
 
 
 def test_fig5a_roc(run_once):

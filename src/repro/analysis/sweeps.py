@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
+from ..core.calibration import CalibrationError, RocPoint, roc_curve
 from .experiments import (
     BatchResult,
     ExperimentConfig,
@@ -337,6 +338,42 @@ class SweepRunner:
             for idx, (value, step) in enumerate(zip(values, configs))
         }
 
+
+    def roc(
+        self,
+        config: ExperimentConfig,
+        drop_rates: Iterable[float],
+        thresholds: Sequence[float],
+        n_trials: int = 20,
+        base_seed: int = 0,
+    ) -> list[tuple[BatchResult, list[RocPoint]]]:
+        """The Fig. 5(a) grid: one ROC curve per drop rate.
+
+        Healthy trials do not depend on the fault, so ``n_trials`` of
+        them run once, first, at ``config``; each drop rate's
+        ``n_trials`` fault trials follow in the same task list.  Returns
+        a ``(batch, curve)`` pair per drop rate, in the given order:
+        every batch carries the shared negatives, and its curve is
+        :func:`~repro.core.calibration.roc_curve` at ``thresholds``.
+        Bad input raises before any trial runs.
+        """
+        if n_trials < 1:
+            raise ExperimentError("need at least one trial")
+        if any(threshold <= 0 for threshold in thresholds):
+            raise CalibrationError("thresholds must be positive")
+        steps = [replace(config, drop_rate=drop) for drop in drop_rates]
+        tasks = [SweepTask(config, False, base_seed, t) for t in range(n_trials)]
+        tasks += [SweepTask(step, True, base_seed, t) for step in steps for t in range(n_trials)]
+        outcomes = self.run_tasks(tasks)
+        negatives = tuple(outcomes[:n_trials])
+        grid = []
+        for index, step in enumerate(steps, start=1):
+            positives = tuple(outcomes[index * n_trials : (index + 1) * n_trials])
+            batch = BatchResult(config=step, positives=positives, negatives=negatives)
+            grid.append(
+                (batch, roc_curve(batch.positive_scores, batch.negative_scores, thresholds))
+            )
+        return grid
 
 def _batch_tasks(config: ExperimentConfig, n_trials: int, base_seed: int) -> list[SweepTask]:
     """A batch's tasks, each trial's fault run directly followed by its

@@ -31,10 +31,9 @@ from .analysis import (
     format_percent,
     format_table,
     run_fastsim_loop,
-    run_trial,
 )
 from .analysis.experiments import build_trial
-from .core import ClosedLoop, ConfirmationPolicy, roc_curve
+from .core import ClosedLoop, ConfirmationPolicy
 from .scenarios import (
     ChaosConfig,
     FaultEvent,
@@ -227,43 +226,29 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    import time
+    from .analysis import SweepRunner
 
     config = _config(args, 0.015)
     session = _telemetry_session(args)
-    progress = _progress_callback(args)
-    total = args.trials * (1 + len(args.drop_rates))
-    done = 0
-    started = time.perf_counter()
-
-    def scored(step: ExperimentConfig, injected: bool, trial: int) -> float:
-        nonlocal done
-        trial_started = time.perf_counter()
-        score = run_trial(
-            step, injected=injected, base_seed=args.seed, trial=trial
-        ).score
-        done += 1
-        if session is not None:
-            session.emit(
-                "roc.trial",
-                drop_rate=step.drop_rate if injected else 0.0,
-                trial=trial,
-                injected=injected,
-                score=score,
-                wall_s=time.perf_counter() - trial_started,
-            )
-            session.counter("roc.trials").inc()
-        if progress is not None:
-            progress(done, total, time.perf_counter() - started)
-        return score
-
-    negatives = [scored(config, False, t) for t in range(args.trials)]
+    runner = SweepRunner(telemetry=session, progress=_progress_callback(args))
+    grid = runner.roc(
+        config, args.drop_rates, args.thresholds, n_trials=args.trials, base_seed=args.seed
+    )
     rows = []
-    for drop in args.drop_rates:
-        step = replace(config, drop_rate=drop)
-        positives = [scored(step, True, t) for t in range(args.trials)]
-        for point in roc_curve(positives, negatives, args.thresholds):
-            if session is not None:
+    for index, (batch, points) in enumerate(grid):
+        drop = batch.config.drop_rate
+        if session is not None:
+            # The shared healthy trials report once, ahead of the first rate.
+            for outcomes in ((batch.negatives,) if index == 0 else ()) + (batch.positives,):
+                for trial, outcome in enumerate(outcomes):
+                    session.emit(
+                        "roc.trial",
+                        drop_rate=drop if outcome.injected else 0.0,
+                        trial=trial,
+                        injected=outcome.injected,
+                        score=outcome.score,
+                    )
+            for point in points:
                 session.emit(
                     "roc.point",
                     drop_rate=drop,
@@ -271,14 +256,15 @@ def cmd_roc(args: argparse.Namespace) -> int:
                     fpr=point.fpr,
                     tpr=point.tpr,
                 )
-            rows.append(
-                [
-                    format_percent(drop, 1),
-                    format_percent(point.threshold, 2),
-                    format_percent(point.fpr, 1),
-                    format_percent(point.tpr, 1),
-                ]
-            )
+        rows.extend(
+            [
+                format_percent(drop, 1),
+                format_percent(point.threshold, 2),
+                format_percent(point.fpr, 1),
+                format_percent(point.tpr, 1),
+            ]
+            for point in points
+        )
     print(
         format_table(
             ["drop rate", "threshold", "FPR", "TPR"],
@@ -1442,6 +1428,7 @@ def _domain_errors() -> tuple:
     these exit 2 with a one-line message instead of a traceback."""
     from .analysis.experiments import ExperimentError
     from .analysis.sweeps import SweepError
+    from .core.calibration import CalibrationError
     from .fastsim.sampling import FastSimError
     from .fleet import CodecError, FleetError
     from .greylab import GreylabError
@@ -1450,6 +1437,7 @@ def _domain_errors() -> tuple:
     from .telemetry.registry import TelemetryError
 
     return (
+        CalibrationError,
         CodecError,
         ExperimentError,
         FastSimError,

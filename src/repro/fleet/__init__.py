@@ -38,7 +38,6 @@ from .codec import (
     RecordBatch,
     StreamDecoder,
     UnsupportedVersionError,
-    batches_from_run,
     decode_batch,
     decode_batch_segment,
     decode_job,
@@ -86,7 +85,6 @@ __all__ = [
     "ShardRouter",
     "StreamDecoder",
     "UnsupportedVersionError",
-    "batches_from_run",
     "build_monitor",
     "decode_batch",
     "decode_batch_segment",

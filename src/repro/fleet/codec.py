@@ -58,8 +58,8 @@ lines and v2 frames mix freely in one ``.fprec`` stream.
 A ``.fprec`` file is just these units concatenated (jobs conventionally
 first), which makes the wire format double as a record/replay format:
 a fastsim run's segments go to :func:`write_fprec` as they are, a
-simnet run's record lists through :func:`batches_from_run` first, and
-either replays through detection offline — :func:`iter_fprec`
+simnet run's record lists as :meth:`RecordBatch.from_records` batches,
+and either replays through detection offline — :func:`iter_fprec`
 auto-detects the version of every unit it reads.
 
 Round-trips are exact in both versions: integers stay integers, finite
@@ -1076,15 +1076,6 @@ class StreamDecoder:
 # ----------------------------------------------------------------------
 # Files (.fprec): record / replay
 # ----------------------------------------------------------------------
-def batches_from_run(
-    run_records: Iterable[Iterable[IterationRecord]],
-) -> list[RecordBatch]:
-    """Capture a record-shaped run (per-iteration record lists, as the
-    simnet collectors produce) as a batch sequence; a fastsim run's
-    segments need no capture step."""
-    return [RecordBatch.from_records(records) for records in run_records]
-
-
 def _stream_unit(encoded: str | bytes, text: bool) -> str | bytes:
     """One encoded unit as written to a stream: JSON lines get their
     newline delimiter, binary frames are self-delimiting."""

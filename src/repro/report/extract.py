@@ -12,8 +12,8 @@ Three kinds of evidence feed the extractor, in any combination:
   lifecycle;
 - **``.fprec`` replay files**: raw capture with no telemetry at all —
   verdicts are re-derived through the same golden monitor path the
-  fleet uses, then folded through a fresh aggregator, so a recording
-  alone yields the full fact set.
+  fleet uses, and each monitor's audit trail folds in like a log's,
+  so a recording alone yields the full fact set.
 
 Reading is tolerant by default (:func:`repro.telemetry.events.read_jsonl_tolerant`):
 a log truncated mid-line by a killed run still yields every intact
@@ -30,6 +30,7 @@ import json
 import pathlib
 
 from ..telemetry.events import desanitize_float, read_jsonl, read_jsonl_tolerant
+from ..telemetry.registry import NULL_INSTRUMENT
 from .tables import FactTables, ReportError
 
 _num = desanitize_float  # local alias; applied to every numeric field
@@ -118,6 +119,15 @@ class _Extractor:
 
     def _add_incident(self, incident, n_iterations: int | None = None) -> None:
         _incident_row(self.facts, self.context.run, incident, n_iterations)
+
+    # A monitor's telemetry session (duck-typed): each audit event folds
+    # in as it is emitted, the way a log line of it would.
+    def emit(self, type_: str, **fields) -> None:
+        self._HANDLERS[type_](self, {"type": type_, **fields})
+
+    @staticmethod
+    def counter(name: str):
+        return NULL_INSTRUMENT
 
     # ------------------------------------------------------------------
     # Run boundaries
@@ -366,11 +376,11 @@ def extract_fprec(
 
     Every job's records run through the same monitor construction the
     fleet's shards use (bit-identical verdicts by the fleet's golden
-    parity guarantee), and triggered verdicts fold through a fresh
-    :class:`~repro.fleet.aggregate.FleetAggregator` whose lifecycle
-    events become the incident facts.
+    parity guarantee).  Each monitor audits into its job's extractor,
+    so the fact rows come from the audit trail through the handlers a
+    telemetry log goes through, and the localization fold yields the
+    incidents as it does for an audit-only stream.
     """
-    from ..fleet.aggregate import DEFAULT_QUIET_GAP, FleetAggregator
     from ..fleet.codec import CodecError, read_fprec
     from ..fleet.shard import build_monitor
 
@@ -384,20 +394,16 @@ def extract_fprec(
         raise ReportError(f"cannot read {path}: {exc}") from None
     source = label if label is not None else path.name
     facts.sources.append(source)
-    aggregator = FleetAggregator(
-        quiet_gap=DEFAULT_QUIET_GAP if quiet_gap is None else quiet_gap,
-    )
-    jobs = {job.job_id: job for job in content.jobs}
-    # Each job of a multi-job capture is its own run, so per-run
-    # analysis (latency, timelines) never mixes jobs.
-    runs = {job_id: f"{source}#job{job_id}" for job_id in jobs}
-    monitors = {job_id: build_monitor(job) for job_id, job in jobs.items()}
-    detection: dict[int, int] = {}
+    monitors = {}
     run_rows: dict[int, dict] = {}
+    jobs = {job.job_id: job for job in content.jobs}
     for job_id, job in sorted(jobs.items()):
+        # Each job of a multi-job capture is its own run, so per-run
+        # analysis (latency, timelines) never mixes jobs.
+        run = f"{source}#job{job_id}"
         run_rows[job_id] = facts.add(
             "runs",
-            run=runs[job_id],
+            run=run,
             source=source,
             job_id=job_id,
             kind="fleet",
@@ -407,6 +413,8 @@ def extract_fprec(
             fault_link=job.fault_link,
             detectable=job.faulted,
         )
+        monitor = monitors[job_id] = build_monitor(job)
+        monitor.telemetry = _Extractor(facts, run, job_id, quiet_gap)
     for batch in content.batches:
         monitor = monitors.get(batch.job_id)
         if monitor is None:
@@ -415,15 +423,11 @@ def extract_fprec(
             )
             continue
         verdict = monitor.process_iteration(list(batch.records))
-        aggregator.observe(batch.job_id, verdict)
-        if verdict.triggered:
-            detection.setdefault(batch.job_id, verdict.iteration)
-        _verdict_rows(facts, runs[batch.job_id], batch.job_id, verdict)
-    for incident in aggregator.finalize():
-        run = runs.get(incident.job_id, source)
-        _incident_row(facts, run, incident)
-    for job_id, row in run_rows.items():
-        row["detection_iteration"] = detection.get(job_id)
+        row = run_rows[batch.job_id]
+        if verdict.triggered and row["detection_iteration"] is None:
+            row["detection_iteration"] = verdict.iteration
+    for monitor in monitors.values():
+        monitor.telemetry._finish_run()
     return facts
 
 
@@ -449,64 +453,3 @@ def _incident_row(
         senders=dict(sorted(incident.senders.items())),
         iterations=sorted(incident.iterations),
     )
-
-
-def _verdict_rows(facts: FactTables, run: str, job_id: int, verdict) -> None:
-    """Fact rows for one re-derived verdict — the same facts the
-    monitor's telemetry audit trail would have emitted."""
-    facts.add(
-        "iterations",
-        run=run,
-        job_id=job_id,
-        iteration=verdict.iteration,
-        learning_event=verdict.learning_event.name,
-        skipped=verdict.skipped,
-        triggered=verdict.triggered,
-        max_score=verdict.max_score,
-        leaves=len(verdict.results),
-    )
-    if verdict.skipped:
-        return
-    for result in verdict.results:
-        for port in result.audit_ports():
-            facts.add(
-                "leaf_observations",
-                run=run,
-                job_id=job_id,
-                iteration=verdict.iteration,
-                leaf=result.leaf,
-                spine=port["spine"],
-                predicted=port["predicted"],
-                observed=port["observed"],
-                deviation=port["deviation"],
-                alarm=port["alarm"],
-                leaf_triggered=result.triggered,
-                leaf_max_abs_deviation=result.max_abs_deviation,
-            )
-        for alarm in result.alarms:
-            facts.add(
-                "alarms",
-                run=run,
-                job_id=job_id,
-                iteration=verdict.iteration,
-                leaf=alarm.leaf,
-                spine=alarm.spine,
-                predicted=alarm.predicted,
-                observed=alarm.observed,
-                deviation=alarm.deviation,
-                deficit=alarm.is_deficit,
-            )
-    for localization in verdict.localizations:
-        for suspicion in localization.suspicions:
-            facts.add(
-                "localizations",
-                run=run,
-                job_id=job_id,
-                iteration=verdict.iteration,
-                leaf=localization.leaf,
-                link=suspicion.link,
-                kind=suspicion.kind,
-                spine=suspicion.spine,
-                affected_senders=tuple(suspicion.affected_senders),
-                deviation=suspicion.deviation,
-            )

@@ -14,8 +14,6 @@ from .network import (
     PodLeafSwitch,
     PodSpineSwitch,
     ThreeLevelNetwork,
-    host_down_link3,
-    host_up_link3,
 )
 from .topology import (
     ThreeLevelControlPlane,
@@ -33,8 +31,6 @@ __all__ = [
     "PodSpineSwitch",
     "ThreeLevelControlPlane",
     "ThreeLevelNetwork",
-    "host_down_link3",
-    "host_up_link3",
     "ThreeLevelError",
     "ThreeLevelModel",
     "ThreeLevelMonitor",

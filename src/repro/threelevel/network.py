@@ -30,6 +30,7 @@ from ..simnet.link import Link, Node
 from ..simnet.packet import Packet
 from ..simnet.spraying import SprayPolicy, make_policy
 from ..simnet.transport import ReliableTransport
+from ..topology.graph import host_down_link, host_up_link
 from ..units import DEFAULT_MTU, GBPS, MICROSECOND
 from .topology import (
     ThreeLevelControlPlane,
@@ -40,16 +41,6 @@ from .topology import (
     pod_down_link,
     pod_up_link,
 )
-
-
-def host_up_link3(host: int) -> str:
-    """Name of the host->leaf link in a three-level fabric."""
-    return f"hostup:H{host}"
-
-
-def host_down_link3(host: int) -> str:
-    """Name of the leaf->host link in a three-level fabric."""
-    return f"hostdown:H{host}"
 
 
 class PodLeafSwitch(Node):
@@ -286,10 +277,10 @@ class ThreeLevelNetwork:
         for host in self.hosts:
             pod, leaf = spec.leaf_of_host(host.index)
             leaf_switch = self.leaves[(pod, leaf)]
-            up_name = host_up_link3(host.index)
+            up_name = host_up_link(host.index)
             self._add_link(up_name, leaf_switch)
             host.attach_uplink(self.links[up_name])
-            down_name = host_down_link3(host.index)
+            down_name = host_down_link(host.index)
             self._add_link(down_name, host)
             leaf_switch.attach_downlink(host.index, self.links[down_name])
             host.attach_transport(

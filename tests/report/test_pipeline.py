@@ -117,6 +117,38 @@ def test_incident_facts_agree_between_stream_and_replay(tmp_path, workload_path)
     assert [strip(r) for r in streamed] == [strip(r) for r in rederived]
 
 
+def test_fprec_facts_equal_the_audit_trail(tmp_path, workload_path):
+    """A capture's detection facts are the ones its jobs' audit trails
+    give: each job's monitor, rebuilt with a telemetry session attached
+    and fed its batches, writes a JSONL log that yields the same rows."""
+    from repro.fleet import read_fprec
+    from repro.fleet.shard import build_monitor
+    from repro.report import extract_events, extract_fprec
+    from repro.telemetry import TelemetrySession
+
+    content = read_fprec(workload_path)
+    monitors = {job.job_id: build_monitor(job) for job in content.jobs}
+    for monitor in monitors.values():
+        monitor.telemetry = TelemetrySession()
+    for batch in content.batches:
+        monitors[batch.job_id].process_iteration(list(batch.records))
+    rederived = extract_fprec(workload_path)
+
+    def unlabelled(rows):
+        return [{k: v for k, v in row.items() if k not in ("run", "job_id")} for row in rows]
+
+    tables = ("iterations", "leaf_observations", "alarms", "localizations")
+    for job_id, monitor in monitors.items():
+        log = tmp_path / f"job{job_id}.jsonl"
+        monitor.telemetry.write_jsonl(log)
+        audited = extract_events(log, default_job_id=job_id)
+        for table in tables:
+            expected = [row for row in rederived.rows(table) if row["job_id"] == job_id]
+            assert unlabelled(audited.rows(table)) == unlabelled(expected), (job_id, table)
+    for table in tables:
+        assert rederived.rows(table), f"the capture must exercise {table}"
+
+
 def test_no_evidence_is_an_error(tmp_path):
     with pytest.raises(ReportError):
         build_report([], tmp_path / "out")
