@@ -609,14 +609,16 @@ def _add_fleet_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=2, help="shard worker processes")
     _add_wire_version_arg(parser)
     parser.add_argument(
-        "--queue-depth", type=int, default=1024, help="bounded inbox size per shard"
+        "--queue-depth", type=int, default=1024,
+        help="messages posted to a shard and not yet taken by its worker",
     )
     parser.add_argument(
         "--policy",
         choices=("block", "shed-oldest"),
         default="block",
         help="backpressure when a shard inbox fills: block ingest "
-        "(lossless) or shed the oldest queued batch (lossy, counted)",
+        "(lossless) or shed the oldest batch not yet written to the "
+        "pipe (lossy, counted)",
     )
     parser.add_argument(
         "--incidents-out",

@@ -239,14 +239,12 @@ class HAFleetService(FleetService):
         self._ring_cache = (view.epoch, router)
         return router
 
-    def _heartbeat_every(self) -> float | None:
-        return self.ha.heartbeat_every
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn workers, then bootstrap epoch 1 through the coordinator."""
+        """Bootstrap epoch 1 through the coordinator, then spawn the
+        workers in it."""
         self._closing = False
         if self._journal_dir is None:
             if self.ha.journal_dir is None:
@@ -255,14 +253,11 @@ class HAFleetService(FleetService):
             else:
                 self._journal_dir = pathlib.Path(self.ha.journal_dir)
                 self._journal_dir.mkdir(parents=True, exist_ok=True)
+        self.coordinator.commit(shards=range(self.config.n_shards), reason="bootstrap")
         super().start()
-        view = self.coordinator.commit(
-            shards=range(self.config.n_shards), reason="bootstrap"
-        )
-        self._broadcast_epoch(view)
 
     def _spawn_worker(self, shard: int) -> None:
-        super()._spawn_worker(shard)
+        super()._spawn_worker(shard, self.ha.heartbeat_every, self.epoch)
         self.heartbeats.watch(shard, time.time())
 
     def _broadcast_epoch(self, view: View) -> None:
@@ -456,15 +451,12 @@ class HAFleetService(FleetService):
         if worker.is_alive():
             worker.terminate()
         worker.join(timeout=5.0)
-        # Anything still buffered for the dead inbox will never be read;
-        # without this, the queue's feeder thread deadlocks interpreter
-        # exit trying to flush into the full pipe.
-        self._inboxes[dead_shard].cancel_join_thread()
         # Everything the shard shipped before dying is valid pre-death
-        # output: harvest it (the reader is at EOF now), then drop the
-        # pipe — a frame torn by the kill is discarded with it.
+        # output: harvest it (the reader is at EOF now), then drop both
+        # pipes — a frame torn by the kill is discarded with its outbox,
+        # and what its inbox still held is journaled for the replay.
         self._drain_outboxes()
-        self._retire_outbox(dead_shard)
+        self._retire_pipes(dead_shard)
         self._live_shards.discard(dead_shard)
         self.heartbeats.unwatch(dead_shard)
         moved = sorted(

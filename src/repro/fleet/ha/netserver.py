@@ -19,7 +19,7 @@ its reassembly buffer, so a misbehaving peer cannot balloon memory.
 Nothing here sleeps or ticks.  The shards' outbox pipes are loop
 readers: a verdict frame is folded when it arrives, a dead worker's EOF
 is its own wake-up, a connection parked on a full inbox resumes on the
-next output (a worker that freed room is a worker about to write), and
+next output (every slot a worker frees is announced on its outbox), and
 the HA failure detector runs on every beacon of the workers still alive
 — which is how often a silent one's miss count can change.
 
@@ -45,7 +45,6 @@ from ..codec import (
     encode_job,
     peek_batch,
 )
-from ..service import WAIT_TIMEOUT_S
 from ..shard import FleetError
 
 
@@ -217,10 +216,7 @@ class FleetNetServer:
         while not self.service.try_submit_encoded(unit, job_id, n_records):
             self.stats.backpressure_waits += 1
             self._output.clear()
-            try:  # timed: room freed by control messages wakes nothing
-                await asyncio.wait_for(self._output.wait(), WAIT_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                pass
+            await self._output.wait()
         self.stats.batches += 1
         self.stats.records += n_records
 

@@ -124,7 +124,7 @@ def shrink(service: HAFleetService, shard_id: int) -> ReshardReport:
     service._workers[shard_id].join(timeout=DRAIN_TIMEOUT_S)
     service._live_shards.discard(shard_id)
     service.heartbeats.unwatch(shard_id)
-    service._retire_outbox(shard_id)
+    service._retire_pipes(shard_id)
     service._broadcast_epoch(view)
     return _report(
         service,

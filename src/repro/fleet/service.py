@@ -7,16 +7,25 @@ worker processes each owning the monitors of its jobs, and triggered
 verdicts flow back to the parent where the aggregator
 (:mod:`repro.fleet.aggregate`) collapses them into incidents.
 
-Backpressure is explicit.  Every shard's inbox is a bounded queue;
-``policy`` selects what happens when a flood outruns the workers:
+Backpressure is explicit.  Every shard's inbox is a framed pipe
+(:mod:`repro.fleet.transport`) behind a count the parent keeps:
+``queue_depth`` bounds the messages posted to a shard that its worker
+has not yet reported taken — those in the kernel pipe, those the
+worker holds in the wake-up it is scoring, and those waiting in the
+parent-side tail.  ``policy`` selects what happens when a flood outruns
+the workers:
 
 ``"block"``
-    ``submit`` blocks until the shard drains — no record is ever lost,
-    ingest slows to detection speed.
+    ``submit`` blocks until the shard reports room — no record is ever
+    lost, ingest slows to detection speed.
 ``"shed-oldest"``
-    the oldest queued batch is evicted to make room for the new one —
-    ingest never stalls, and every shed record is counted in the
-    ``fleet.shed_records`` metric (control messages are never shed).
+    the oldest batch still in the parent-side tail is evicted to make
+    room for the new one — ingest never stalls, and every shed record is
+    counted in the ``fleet.shed_records`` metric.  Only the tail can
+    shed: bytes in a kernel pipe cannot be taken back, so a batch the
+    pipe holds is scored, and with nothing in the tail to evict the new
+    batch waits there, one past the depth.  Control messages are never
+    shed; they wait for room under either policy.
 
 Golden parity: a job streamed through the service produces bit-identical
 :class:`~repro.core.monitor.IterationVerdict` sequences to feeding the
@@ -30,7 +39,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -42,7 +50,7 @@ from ..telemetry.registry import MetricsRegistry
 from .aggregate import DEFAULT_QUIET_GAP, FleetAggregator, Incident
 from .codec import FPREC_VERSIONS, JobConfig, RecordBatch, encode_batch, peek_batch
 from .shard import FleetError, ShardRouter, build_monitor, shard_worker
-from .transport import OutboxReader, new_outbox_pipe
+from .transport import OutboxReader, OutboxWriter, new_outbox_pipe
 
 #: How long ``close`` waits for a single outbox message from live
 #: workers before declaring the drain wedged (a worker that *exited*
@@ -55,12 +63,6 @@ QUEUE_DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 #: non-blocking ``read`` per shard).
 POLL_EVERY = 16
 
-#: Longest one wait for worker output blocks.  Output and a dying
-#: worker's EOF end it at once; the time-out is for what no fd announces
-#: — a worker alive but silent, and inbox room freed by control
-#: messages, which a worker does not answer.
-WAIT_TIMEOUT_S = 0.005
-
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -72,10 +74,9 @@ class FleetConfig:
     return_verdicts: bool = False
     n_replicas: int = 64  # consistent-hash points per shard
     wire_version: int = 1  # fprec version submit() encodes at (1 | 2)
-    #: Max messages a worker drains per wake-up for block scoring.
-    #: Capped at ``queue_depth`` so a worker never buffers more than
-    #: the bounded queue itself may hold — otherwise coalescing would
-    #: silently widen the backpressure window.
+    #: Max batches a worker scores per wake-up.  The backpressure
+    #: window already counts what a worker holds, so coalescing never
+    #: widens it.
     coalesce: int = 32
     #: Iterations a link may sit quiet before a fresh alarm reopens its
     #: incident (``incident.reopened`` in the lifecycle log).
@@ -258,7 +259,7 @@ class FleetService:
         return len(self._inboxes)
 
     def start(self) -> None:
-        """Spawn the shard workers and open their queues."""
+        """Spawn the shard workers and open their pipes."""
         if self.started:
             raise FleetError("service already started")
         self._context = multiprocessing.get_context()
@@ -275,47 +276,49 @@ class FleetService:
             )
             self._counters_ready = True
 
-    def _spawn_worker(self, shard: int) -> None:
+    def _spawn_worker(self, shard: int, heartbeat_every=None, epoch: int = 0) -> None:
         """Start one shard worker process; shard ids index the inbox and
         worker tables, so spawn order must follow shard id order (the HA
-        layer appends new ids when the pool grows)."""
+        layer appends new ids when the pool grows, and passes the beacon
+        interval and view epoch the worker starts with)."""
         if shard != self.n_shards:
             raise FleetError(
                 f"shard ids must be dense: spawning {shard} "
                 f"with {self.n_shards} existing"
             )
-        inbox = self._context.Queue(maxsize=self.config.queue_depth)
-        read_fd, write_fd = new_outbox_pipe()
+        inbox_read, inbox_write = new_outbox_pipe()
+        outbox_read, outbox_write = new_outbox_pipe()
+        inbox = OutboxWriter(inbox_write, window=self.config.queue_depth)
+        outbox = OutboxReader(outbox_read)
+        parent_ends = [*self._inboxes, *self._outboxes, inbox, outbox]
         worker = self._context.Process(
             target=shard_worker,
             args=(
                 shard,
-                inbox,
-                (read_fd, write_fd),
+                inbox_read,
+                outbox_write,
+                [pipe for pipe in parent_ends if pipe is not None],
                 self.config.return_verdicts,
-                min(self.config.coalesce, self.config.queue_depth),
-                self._heartbeat_every(),
+                self.config.coalesce,
+                heartbeat_every,
+                epoch,
             ),
             daemon=True,
             name=f"fleet-shard-{shard}",
         )
         worker.start()
-        # The worker owns the write end now; dropping our copy makes its
-        # death observable as EOF on the read end.
-        os.close(write_fd)
+        # The worker owns its ends now; dropping our copies makes its
+        # death observable as EOF on the outbox (and EPIPE on the inbox).
+        os.close(inbox_read)
+        os.close(outbox_write)
         self._inboxes.append(inbox)
-        self._outboxes.append(OutboxReader(read_fd))
-        # Resolved once: ``_sample_depth`` runs on every submit.
+        self._outboxes.append(outbox)
+        # Resolved once: the depth is sampled on every submit.
         self._depth_gauges.append(
             self.registry.gauge("fleet.queue_depth", shard=str(shard))
         )
         self._workers.append(worker)
         self._live_shards.add(shard)
-
-    def _heartbeat_every(self) -> float | None:
-        """Worker heartbeat interval; the base service runs without
-        liveness beacons (the HA layer overrides this)."""
-        return None
 
     def _route(self, job_id: int) -> int:
         """The shard a job's records go to.  The base service reads the
@@ -378,10 +381,10 @@ class FleetService:
             job_id, n_records = peek_batch(line)
         started = time.perf_counter()
         shard = self._route(job_id)
-        # This process is the inbox's only producer, so "not full" still
-        # holds at the put: a refused unit is never journaled, an
-        # accepted one is journaled before it is sent.
-        if not block and self.config.policy == "block" and self._inboxes[shard].full():
+        # A refused unit is never journaled, an accepted one is
+        # journaled before it is sent.
+        inbox = self._inboxes[shard]
+        if not block and self.config.policy == "block" and inbox.pending >= self.config.queue_depth:
             return False
         self._journal_batch(shard, line, job_id, n_records)
         self._send(shard, ("batch", line, n_records, time.time()))
@@ -389,7 +392,8 @@ class FleetService:
         self._submitted_records += n_records
         self._submitted_batches_c.inc()
         self._submitted_records_c.inc(n_records)
-        self._sample_depth(shard, self._inboxes[shard])
+        self._depth_gauges[shard].set(inbox.pending)
+        self._depth_samples.observe(inbox.pending)
         self._submit_busy_s += time.perf_counter() - started
         if self._submitted_batches % POLL_EVERY == 0:
             self.poll()
@@ -406,64 +410,51 @@ class FleetService:
         service keeps no journal."""
 
     def _send(self, shard: int, message) -> None:
-        """Hand one message to a shard's inbox — the only code that puts
-        onto one.  With room that is one ``put_nowait``.  Without, a
-        ``"batch"`` under ``shed-oldest`` evicts queued batches until it
-        fits; anything else — control messages are never shed, whatever
-        the policy — waits in :meth:`_wait_for_output` until there is
-        room or :meth:`_still_draining` says to give up.  The wait reads
-        the outboxes, which is what keeps the pair deadlock-free: a
-        worker stalled on its bounded outbox pipe consumes nothing.
-
-        A control message raced out of the queue by an eviction is
-        re-sent at the back; batches of its job that overtake it land in
-        the worker's ``unknown_job`` counter (registering jobs before
-        the flood, as ``serve_workload`` does, avoids the race).
+        """Hand one message to a shard's inbox — the only code that
+        posts to one.  With room that is one non-blocking ``os.write``.
+        Without, a ``"batch"`` under ``shed-oldest`` evicts the oldest
+        batch from the inbox's parent-side tail and takes its place;
+        anything else — control messages are never shed, whatever the
+        policy — waits in :meth:`_wait_for_output` until the worker
+        reports room or :meth:`_still_draining` says to give up.  The
+        wait reads the outboxes, which is what keeps the pair
+        deadlock-free: a worker stalled on its bounded outbox pipe takes
+        nothing.
         """
         inbox = self._inboxes[shard]
-        shedding = self.config.policy == "shed-oldest" and message[0] == "batch"
-        while True:
-            try:
-                inbox.put_nowait(message)
-                return
-            except queue_module.Full:
-                pass
-            if not shedding:
-                if self._wait_for_output() == 0 and not self._still_draining(shard):
+        if self.config.policy == "shed-oldest" and message[0] == "batch":
+            if inbox.pending >= self.config.queue_depth:
+                evicted = inbox.evict(lambda queued: queued[0] in ("batch", "replay"))
+                if evicted is not None:
+                    self._on_shed(evicted)
+        else:
+            while inbox.pending >= self.config.queue_depth:
+                if not self._still_draining(shard):
                     return
-                continue
-            try:
-                evicted = inbox.get_nowait()
-            except queue_module.Empty:
-                # Full but empty: the item is still in the feeder
-                # thread's buffer.  "Flushed" is "the queue's read end is
-                # readable"; blocking on that hands the feeder the GIL.
-                self._wait_for_output(also=(inbox._reader,))
-                continue
-            if evicted[0] in ("batch", "replay"):
-                self._on_shed(evicted)
-            else:
-                self._send(shard, evicted)
+                self._wait_for_output()
+        inbox.post(message)
 
-    def _wait_for_output(self, also=()) -> int:
+    def _wait_for_output(self, timeout: float | None = None) -> int:
         """Fold ready worker output; if there is none, block until an
-        outbox (or anything in ``also``) is readable or
-        :data:`WAIT_TIMEOUT_S` passes, and fold again.  Returns the
-        messages handled.  The fleet's one way to wait, for inbox room
-        too: a worker that took batches is about to write verdicts, and
-        a dead worker's pipe is at EOF, which is readable.
+        outbox is readable (or ``timeout`` passes), and fold again.
+        Returns the messages handled.  The fleet's one way to wait, for
+        inbox room too: every slot a worker frees is announced on its
+        outbox, and a dead worker's outbox is at EOF, which is readable.
+        The readers are listed before the first fold, so an EOF that fold
+        met ends the wait at once.
         """
+        readers = self.open_outboxes()
         handled = self._drain_outboxes()
         if handled == 0:
-            connection.wait([*self.open_outboxes(), *also], WAIT_TIMEOUT_S)
+            connection.wait(readers, timeout)
             handled = self._drain_outboxes()
         return handled
 
     def _still_draining(self, shard: int) -> bool:
-        """May a sender whose wait for room on ``shard`` came back empty
-        keep waiting?  No failover here, so a dead worker's full inbox
-        is fatal (the HA service recovers and answers False)."""
-        if not self._workers[shard].is_alive():
+        """May a sender waiting for room on ``shard`` keep waiting?  No
+        failover here, so a dead worker's full inbox is fatal (the HA
+        service recovers and answers False)."""
+        if self._outboxes[shard].eof or not self._workers[shard].is_alive():
             raise FleetError(f"shard {shard} died with a full inbox; nothing will drain it")
         return True
 
@@ -478,14 +469,6 @@ class FleetService:
             self.telemetry.emit(
                 "fleet.shed", n_records=evicted[2], policy=self.config.policy
             )
-
-    def _sample_depth(self, shard: int, inbox) -> None:
-        try:
-            depth = inbox.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return
-        self._depth_gauges[shard].set(depth)
-        self._depth_samples.observe(depth)
 
     # ------------------------------------------------------------------
     def poll(self) -> int:
@@ -521,6 +504,8 @@ class FleetService:
             self._on_verdict(shard, job_id, verdict)
         elif kind == "summary":
             self._on_summary(message[1], message[2], message[3])
+        elif kind == "taken":
+            self._inboxes[message[1]].ack(message[2])
         elif kind == "heartbeat":
             self._on_heartbeat(message[1], message[2], message[3], message[4])
         elif kind == "error":
@@ -601,9 +586,6 @@ class FleetService:
         at once, by EOF on its outbox."""
         deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while not shards <= self._done:
-            if self._wait_for_output() > 0:
-                deadline = time.monotonic() + DRAIN_TIMEOUT_S
-                continue
             unfinished = sorted(shards - self._done)
             exited = [
                 f"shard {shard} (torn_bytes={self._outboxes[shard].torn_bytes})"
@@ -620,6 +602,8 @@ class FleetService:
                     "fleet drain timed out waiting for shard workers "
                     f"(unfinished: {unfinished})"
                 )
+            if self._wait_for_output(deadline - time.monotonic()) > 0:
+                deadline = time.monotonic() + DRAIN_TIMEOUT_S
 
     def _abort(self) -> None:
         """Kill workers without draining (error-path teardown)."""
@@ -630,9 +614,11 @@ class FleetService:
             worker.join(timeout=5.0)
         self._teardown()
 
-    def _retire_outbox(self, shard: int) -> None:
-        """Close a dead shard's outbox reader (its worker has exited and
-        everything readable was harvested)."""
+    def _retire_pipes(self, shard: int) -> None:
+        """Close a dead shard's pipes (its worker has exited and
+        everything readable was harvested; what its inbox still held is
+        dropped)."""
+        self._inboxes[shard].close()
         reader = self._outboxes[shard]
         if reader is not None:
             reader.close()
@@ -640,7 +626,6 @@ class FleetService:
 
     def _teardown(self) -> None:
         for inbox in self._inboxes:
-            inbox.cancel_join_thread()
             inbox.close()
         for reader in self._outboxes:
             if reader is not None:

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
+import select
 import time
+from collections import deque
 from dataclasses import dataclass
-
-import queue as queue_module
 
 from ..analysis.experiments import build_trial, make_predictor
 from ..core.detection import DetectionConfig
@@ -143,19 +142,22 @@ def build_monitor(job: JobConfig) -> FlowPulseMonitor:
 
 def shard_worker(
     shard_id: int,
-    inbox,
-    outbox_fds: tuple[int, int],
+    inbox_fd: int,
+    outbox_fd: int,
+    inherited: list,
     return_verdicts: bool,
     coalesce: int = 32,
     heartbeat_every: float | None = None,
+    epoch: int = 0,
 ) -> None:
-    """Worker-process entry point: drain ``inbox`` until a stop message.
+    """Worker-process entry point: serve the inbox until a stop message.
 
-    ``outbox_fds`` is the worker's private ``(read_fd, write_fd)``
-    outbox pipe (see :mod:`~repro.fleet.transport`); the read end is
-    closed here and the write end wrapped in a framed sender, so a
-    SIGKILL can tear at most this worker's own stream — never a lock or
-    channel shared with the survivors.
+    ``inbox_fd`` and ``outbox_fd`` are this worker's ends of its two
+    framed pipes (see :mod:`~repro.fleet.transport`); ``inherited`` are
+    the parent's pipe readers and writers ``fork`` copied in — this
+    shard's other two ends and every sibling's — and are closed first,
+    so EOF on the inbox means the parent is gone and a SIGKILL here can
+    tear only this worker's own streams.
 
     Inbox messages (tuples, cheap to pickle):
 
@@ -173,23 +175,24 @@ def shard_worker(
     - ``("forget", job_ids)`` — drop the monitors of jobs that were
       handed off to another shard (frees their memory; their records
       stop arriving at this shard once the view changed).
-    - ``("epoch", n)`` — adopt a coordinator epoch; echoed in every
-      heartbeat so the parent can fence a worker stuck on a stale view.
+    - ``("epoch", n)`` — adopt a coordinator epoch (a worker starts in
+      ``epoch``); echoed in every heartbeat so the parent can fence a
+      worker stuck on a stale view.
     - ``("stop",)`` — drain finished; ship metrics and exit.
 
-    Each wake-up drains up to ``coalesce`` queued messages and scores
-    the drained batches of every job in one
+    Each wake-up takes up to ``coalesce`` batch messages, ending early
+    at a control message (a barrier: the batches before it are scored
+    first), and scores the batches of every job in one
     :func:`~repro.core.monitor.process_blocks` call — units of either
     wire version decode to columnar segments, every job's iterations
     are fit-checked and scored in one vectorized pass per fabric shape
     and only alarm-bearing leaves reach the scalar oracle.  Per-job
-    batch order is preserved (the golden-parity invariant); control
-    messages act as barriers, flushing buffered batches before taking
-    effect.  ``fleet.detect_compute_s`` observes, once per unit, the
-    flush's scoring time divided by its units.
+    batch order is preserved (the golden-parity invariant).
+    ``fleet.detect_compute_s`` observes, once per unit, the flush's
+    scoring time divided by its units.
 
-    Outbox messages (the verdicts and summaries of one flush share one
-    frame; everything else is a frame of its own):
+    Outbox messages (everything one wake-up produced shares one frame;
+    beacons, metrics and "done" are frames of their own):
 
     - ``("verdict", shard, job_id, IterationVerdict)`` — full verdict
       (always when ``return_verdicts``, else only for triggered or
@@ -203,20 +206,22 @@ def shard_worker(
       job whose update or scoring raised (that job's batches of the
       flush are lost; the worker keeps going; errors are counted,
       never fatal).
+    - ``("taken", shard, n)`` — closes every wake-up's frame: ``n``
+      inbox messages taken, so the parent may post ``n`` more.  ``n`` is
+      0 when the inbox held only part of a frame: the parent's writer is
+      stalled on a full pipe and this read made room.
     - ``("metrics", shard, snapshot)`` then ``("done", shard)`` on stop.
     """
     if coalesce < 1:
         raise FleetError("coalesce must be at least 1")
     if heartbeat_every is not None and heartbeat_every <= 0:
         raise FleetError("heartbeat_every must be positive")
-    from .transport import OutboxWriter
+    from .transport import OutboxReader, OutboxWriter
 
-    read_fd, write_fd = outbox_fds
-    try:
-        os.close(read_fd)
-    except OSError:
-        pass
-    outbox = OutboxWriter(write_fd)
+    for pipe in inherited:
+        pipe.close()
+    inbox = OutboxReader(inbox_fd)
+    outbox = OutboxWriter(outbox_fd)
     registry = MetricsRegistry()
     label = str(shard_id)
     batches_c = registry.counter("fleet.batches", shard=label)
@@ -235,13 +240,12 @@ def shard_worker(
         "fleet.detection_latency_s", buckets=LATENCY_BUCKETS, shard=label
     )
     monitors: dict[int, FlowPulseMonitor] = {}
-    epoch = 0
     beat_seq = 0
     last_beat = time.time()
 
-    def report_error(exc: Exception) -> None:
+    def report_error(exc: Exception, out: list) -> None:
         errors_c.inc()
-        outbox.send(("error", shard_id, f"{type(exc).__name__}: {exc}"))
+        out.append(("error", shard_id, f"{type(exc).__name__}: {exc}"))
 
     def beat(force: bool = False) -> None:
         nonlocal beat_seq, last_beat
@@ -254,17 +258,16 @@ def shard_worker(
             outbox.send(("heartbeat", shard_id, epoch, beat_seq, now))
             last_beat = now
 
-    def flush(pending: list) -> None:
+    def flush(pending: list, out: list) -> None:
         """Decode buffered batch messages and score the whole flush in
         one :func:`~repro.core.monitor.process_blocks` call, one block
-        per job.
+        per job, appending its verdicts and summaries to ``out``.
 
         Grouping only reorders *across* jobs; within a job the entries
         keep arrival order, so each monitor still sees its iterations
         in sequence.  One malformed unit costs one error, and a job
         whose update or scoring raises costs one error for that job
-        only: every other job of the flush is scored and shipped.  The
-        flush's verdicts and summaries leave as one outbox frame.
+        only: every other job of the flush is scored and shipped.
         """
         if not pending:
             return
@@ -273,7 +276,7 @@ def shard_worker(
             try:
                 segment = decode_batch_segment(unit)
             except (CodecError, RuntimeError, ValueError) as exc:
-                report_error(exc)
+                report_error(exc, out)
                 continue
             groups.setdefault(segment.job_id, []).append(
                 (segment, submitted_at, kind == "replay")
@@ -292,10 +295,9 @@ def shard_worker(
         scored = process_blocks(pairs, catch=(FleetError, RuntimeError, ValueError))
         per_batch_s = (time.perf_counter() - started) / sum(len(block) for _, block in pairs)
         now = time.time()
-        out: list = []
         for (job_id, members), verdicts in zip(jobs, scored):
             if not isinstance(verdicts, list):
-                report_error(verdicts)
+                report_error(verdicts, out)
                 continue
             for verdict, (segment, submitted_at, replayed) in zip(verdicts, members):
                 detect_h.observe(per_batch_s)
@@ -322,50 +324,52 @@ def shard_worker(
                             verdict.max_score,
                         )
                     )
-        if out:
-            outbox.send_many(out)
 
-    stopping = False
-    while not stopping:
-        try:
-            first = inbox.get(timeout=heartbeat_every)
-        except queue_module.Empty:
-            beat(force=True)  # idle, but alive
+    queued: deque = deque()
+    woken = False
+    while True:
+        if len(queued) < coalesce:  # what the pipe holds, not the whole window
+            queued.extend(inbox.drain())
+        if not queued:
+            if inbox.eof:
+                return  # the parent is gone: nobody to report to
+            if woken:  # readable, yet no whole frame: the parent's is stalled
+                outbox.send(("taken", shard_id, 0))
+            woken = bool(select.select([inbox], [], [], heartbeat_every)[0])
+            if not woken:
+                beat(force=True)  # idle, but alive
             continue
-        messages = [first]
-        while len(messages) < coalesce:
-            try:
-                messages.append(inbox.get_nowait())
-            except queue_module.Empty:
-                break
         pending: list = []
-        for message in messages:
-            kind = message[0]
-            if kind in ("batch", "replay"):
-                pending.append(message)
-                continue
-            flush(pending)  # control messages are barriers
-            pending = []
-            if kind == "stop":
-                stopping = True
+        control = None
+        while queued and len(pending) < coalesce:
+            message = queued.popleft()
+            if message[0] not in ("batch", "replay"):
+                control = message
                 break
-            try:
-                if kind == "job":
-                    job = message[1]
-                    if job.job_id not in monitors:
-                        monitors[job.job_id] = build_monitor(job)
-                        jobs_c.inc()
-                elif kind == "forget":
-                    for job_id in message[1]:
-                        monitors.pop(job_id, None)
-                elif kind == "epoch":
-                    epoch = message[1]
-                    registry.gauge("fleet.worker_epoch", shard=label).set(epoch)
-                else:
-                    raise FleetError(f"unknown shard message kind {kind!r}")
-            except (CodecError, FleetError, RuntimeError, ValueError) as exc:
-                report_error(exc)
-        flush(pending)
+            pending.append(message)
+        out: list = []
+        flush(pending, out)
+        kind = control[0] if control is not None else None
+        try:
+            if kind == "job":
+                job = control[1]
+                if job.job_id not in monitors:
+                    monitors[job.job_id] = build_monitor(job)
+                    jobs_c.inc()
+            elif kind == "forget":
+                for job_id in control[1]:
+                    monitors.pop(job_id, None)
+            elif kind == "epoch":
+                epoch = control[1]
+                registry.gauge("fleet.worker_epoch", shard=label).set(epoch)
+            elif kind not in (None, "stop"):
+                raise FleetError(f"unknown shard message kind {kind!r}")
+        except (CodecError, FleetError, RuntimeError, ValueError) as exc:
+            report_error(exc, out)
+        out.append(("taken", shard_id, len(pending) + (control is not None)))
+        outbox.send_many(out)
+        if kind == "stop":
+            break
         beat()
     outbox.send(("metrics", shard_id, registry.snapshot()))
     outbox.send(("done", shard_id))

@@ -1,33 +1,40 @@
-"""SIGKILL-safe worker→parent message transport.
+"""SIGKILL-safe framed pipes between the fleet's parent and its workers.
 
-``multiprocessing.Queue`` is the wrong channel for a process that may
-be SIGKILLed mid-send: all writers share one pipe behind one lock, so a
-worker killed while holding the lock wedges every surviving writer, and
-a frame torn mid-write blocks the reader's next ``get()`` forever (the
-4-byte size header arrives, the payload never does).  Both failure
-modes are silent, intermittent, and fatal to a fleet whose whole job is
-surviving shard kills.
+Every shard has two raw pipes carrying the same length-prefixed
+pickle frames: the *inbox* (parent → worker: jobs,
+batches, control messages) and the *outbox* (worker → parent: verdicts,
+summaries, beacons, metrics); one writer class and one reader class
+serve both.  A pipe has one writer process and one reader process, so
+a SIGKILL tears at most the victim's own streams, never a lock or
+channel shared with the survivors.
 
-This module replaces the shared queue with one raw ``os.pipe`` per
-worker and moves the framing into userspace:
+Who may block where:
 
-- :class:`OutboxWriter` (worker side) sends length-prefixed pickle
-  frames with plain blocking ``os.write``.  A frame carries a *list* of
-  messages — one per ``send``, a whole flush's worth per
-  ``send_many`` (one ``pickle.dumps`` whose memo shares what the
-  messages share, one write).  A kill mid-write tears at most this
-  worker's own stream, and of that at most the frame being written.
-- :class:`OutboxReader` (parent side) reads its pipe **non-blocking**
-  and reassembles frames in a buffer.  ``drain()`` never blocks: a torn
-  tail simply stays incomplete, and once the dead worker's write end
-  closes the reader sees EOF and reports the junk via ``torn_bytes``
-  instead of hanging.
+- The **worker** blocks, and only there, waiting for its inbox to turn
+  readable (or for a heartbeat interval to pass) and writing its outbox
+  with plain blocking ``os.write`` (:meth:`OutboxWriter.send_many`).
+- The **parent** never blocks on a pipe.  It writes inboxes with
+  :meth:`OutboxWriter.post` on a non-blocking fd and reads outboxes with
+  :meth:`OutboxReader.drain`; when it must wait — for inbox room, or for
+  a drain to finish — it waits for an outbox to turn readable and reads
+  it.  A worker stalled on its full outbox is thereby always unstuck,
+  which keeps the pair deadlock-free (see ``FleetService._send``).
 
-The pipe is sized up to :data:`PIPE_CAPACITY` where the platform allows
-(Linux ``F_SETPIPE_SZ``), so workers rarely block on verdict output;
-when they do, the parent's one way of waiting for inbox room is to wait
-on these pipes and read them, which keeps the pair deadlock-free (see
-``FleetService._send``).
+An inbox writer keeps a **window**: at most ``window`` messages the
+worker has not yet reported taken.  The worker reports what it took in
+the outbox frames it writes anyway (``("taken", shard, n)``; see
+:func:`~repro.fleet.shard.shard_worker`), and :meth:`OutboxWriter.ack`
+reopens the window by as much.  Messages beyond the window, and bytes
+the kernel pipe cannot take yet, wait in the writer's parent-side
+*tail*, the one place a message can still be taken back
+(:meth:`OutboxWriter.evict`): bytes in a kernel pipe cannot be.
+
+The reader reassembles frames in a buffer and never blocks: a torn
+tail simply stays incomplete, and once the dead writer's end closes the
+reader sees EOF and reports the junk via ``torn_bytes`` instead of
+hanging.  Pipes are sized up to :data:`PIPE_CAPACITY` where the platform
+allows (Linux ``F_SETPIPE_SZ``), so workers rarely stall on verdict
+bursts.
 
 Requires fd inheritance across ``fork`` — the Linux default start
 method, and the only one the chaos tooling (SIGKILL hooks) targets.
@@ -39,6 +46,7 @@ import os
 import pickle
 import struct
 import threading
+from collections import deque
 
 __all__ = ["OutboxReader", "OutboxWriter", "new_outbox_pipe"]
 
@@ -53,7 +61,7 @@ _READ_CHUNK = 1 << 16
 
 
 def new_outbox_pipe() -> tuple[int, int]:
-    """A fresh ``(read_fd, write_fd)`` pipe for one worker's outbox,
+    """A fresh ``(read_fd, write_fd)`` pipe for one inbox or outbox,
     widened to :data:`PIPE_CAPACITY` when the platform allows."""
     read_fd, write_fd = os.pipe()
     try:
@@ -66,11 +74,27 @@ def new_outbox_pipe() -> tuple[int, int]:
 
 
 class OutboxWriter:
-    """Worker-side framed sender over a blocking pipe fd."""
+    """Framed sender over one pipe fd.
 
-    def __init__(self, fd: int) -> None:
+    Without a ``window`` (a worker's outbox) the fd stays blocking and
+    :meth:`send_many` returns once the whole frame is in the pipe.  With
+    one (a shard's inbox, parent side) the fd turns non-blocking and
+    :meth:`post` never waits; a reader gone for good turns every later
+    post into a no-op (the service learns of the death from the
+    worker's outbox EOF).
+    """
+
+    def __init__(self, fd: int, window: int | None = None) -> None:
         self._fd = fd
         self._lock = threading.Lock()
+        self.window = window
+        #: Messages posted and not yet reported taken: the ones written
+        #: (or being written) plus the tail.
+        self.pending = 0
+        self._tail: deque = deque()  # posted, not yet framed
+        self._head: memoryview | None = None  # unwritten rest of a started frame
+        if window is not None:
+            os.set_blocking(fd, False)
 
     def send(self, message) -> None:
         self.send_many([message])
@@ -79,22 +103,69 @@ class OutboxWriter:
         """One frame carrying ``messages``; the reader hands them back
         one by one, in order."""
         payload = pickle.dumps(messages, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = _HEADER.pack(len(payload)) + payload
         with self._lock:
-            view = memoryview(frame)
+            view = memoryview(_HEADER.pack(len(payload)) + payload)
             while view:
                 written = os.write(self._fd, view)
                 view = view[written:]
 
+    def post(self, message) -> None:
+        """Queue one message (one frame) behind the window and write what
+        the window and the pipe take now: with both open, that is one
+        non-blocking ``os.write`` of this message, right here.  The tail
+        keeps messages themselves, framed only when written."""
+        if self._fd >= 0:
+            self.pending += 1
+            self._tail.append(message)
+            self.ack(0)
+
+    def ack(self, taken: int) -> None:
+        """The reader took ``taken`` more messages (0: none, though it
+        may have read part of a frame): reopen the window by as many and
+        write what waits, as far as the pipe takes it."""
+        if self._fd < 0:
+            return
+        self.pending -= taken
+        while True:
+            if self._head is None:
+                if not self._tail or self.pending - len(self._tail) >= self.window:
+                    return
+                payload = pickle.dumps([self._tail.popleft()], protocol=pickle.HIGHEST_PROTOCOL)
+                self._head = memoryview(_HEADER.pack(len(payload)) + payload)
+            try:
+                written = os.write(self._fd, self._head)
+            except BlockingIOError:
+                return
+            except BrokenPipeError:
+                self.close()
+                return
+            self._head = self._head[written:] if written < len(self._head) else None
+
+    def evict(self, evictable):
+        """Take back the oldest tail message ``evictable`` accepts (a
+        started frame is the kernel's already); None if there is none."""
+        for index, message in enumerate(self._tail):
+            if evictable(message):
+                del self._tail[index]
+                self.pending -= 1
+                return message
+        return None
+
     def close(self) -> None:
-        try:
-            os.close(self._fd)
-        except OSError:
-            pass
+        if self._fd >= 0:
+            try:
+                os.close(self._fd)
+            except OSError:
+                pass
+            self._fd = -1
+        self.pending = 0
+        self._tail.clear()
+        self._head = None
 
 
 class OutboxReader:
-    """Parent-side non-blocking frame reassembler for one worker pipe.
+    """Non-blocking frame reassembler for one pipe's read end (an
+    outbox in the parent, an inbox in its worker).
 
     ``drain()`` returns every complete message currently available and
     never blocks — not on an empty pipe, and not on a frame whose
@@ -115,13 +186,13 @@ class OutboxReader:
 
     @property
     def eof(self) -> bool:
-        """True once every write end closed (the worker exited)."""
+        """True once every write end closed (the writer exited)."""
         return self._eof
 
     @property
     def torn_bytes(self) -> int:
         """Bytes of an incomplete trailing frame after EOF (a write
-        torn by SIGKILL); always 0 while the worker lives."""
+        torn by SIGKILL); always 0 while the writer lives."""
         return len(self._buffer) if self._eof else 0
 
     def drain(self) -> list:

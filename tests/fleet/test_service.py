@@ -42,9 +42,10 @@ def metric(result, name, label=None):
 @contextlib.contextmanager
 def held_service(monkeypatch, config: FleetConfig, jobs):
     """A started one-shard service with every job registered and its
-    worker held inside the last registration — outside ``inbox.get()``,
-    so it neither consumes nor holds the queue's reader lock — until the
-    block ends.  What the block submits is all in the inbox when the
+    worker held inside the last registration until the block ends.  A
+    control message ends the worker's wake-up, and the held one reports
+    nothing taken, so what the block submits is all in the inbox (the
+    pipe, or the parent-side tail once the depth is used up) when the
     worker wakes, whatever the two processes' relative speed."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the hold is a patch the worker inherits by fork")
@@ -64,13 +65,12 @@ def held_service(monkeypatch, config: FleetConfig, jobs):
         for job in jobs:
             service.submit_job(job)
         deadline = time.monotonic() + 60
-        while service._inboxes[0].qsize():  # the worker took the last one
+        while service._inboxes[0].pending > 1:  # all but the last one taken
             assert time.monotonic() < deadline
-            time.sleep(0.001)
+            service._wait_for_output(timeout=1.0)
         try:
             yield service
         finally:
-            time.sleep(0.05)  # let the queue's feeder thread flush
             gate.set()
 
 

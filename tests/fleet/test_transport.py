@@ -1,4 +1,5 @@
-"""Outbox transport: SIGKILL-safe framing, multi-message frames.
+"""Framed pipe transport, both directions: SIGKILL-safe framing,
+multi-message frames, and the inbox writer's window and tail.
 
 The reader must reassemble frames whatever the chunking, never block,
 surface a torn tail only once the writer is gone, and hand a frame's
@@ -131,6 +132,58 @@ def test_frame_larger_than_the_pipe_completes_against_a_draining_reader():
         writer.close()
         reader.close()
     assert got == messages
+
+
+# ----------------------------------------------------------------------
+# The inbox direction: a windowed, non-blocking writer with a tail
+# ----------------------------------------------------------------------
+def test_window_holds_posts_in_the_tail_until_acked_and_the_tail_evicts():
+    read_fd, write_fd = new_outbox_pipe()
+    reader, writer = OutboxReader(read_fd), OutboxWriter(write_fd, window=2)
+    try:
+        for n in range(4):
+            writer.post(("batch", n))
+        assert writer.pending == 4
+        assert reader.drain() == [("batch", 0), ("batch", 1)]
+        assert writer.evict(lambda message: message[1] == 3) == ("batch", 3)
+        assert writer.evict(lambda message: message[1] == 0) is None  # in the pipe
+        writer.ack(2)
+        assert reader.drain() == [("batch", 2)]
+        assert writer.pending == 1
+    finally:
+        writer.close()
+        reader.close()
+
+
+def test_a_post_larger_than_the_pipe_completes_on_zero_acks():
+    """What the pipe cannot take waits in the tail; each ``ack(0)`` (a
+    reader that drained part of a frame) writes more, and the frame
+    arrives whole."""
+    read_fd, write_fd = new_outbox_pipe()
+    reader, writer = OutboxReader(read_fd), OutboxWriter(write_fd, window=4)
+    message = ("batch", os.urandom(3 * PIPE_CAPACITY))
+    try:
+        writer.post(message)
+        got: list = []
+        for _ in range(1000):
+            got = reader.drain()
+            if got:
+                break
+            writer.ack(0)
+        assert got == [message]
+        assert writer.pending == 1
+    finally:
+        writer.close()
+        reader.close()
+
+
+def test_a_post_to_a_closed_reader_is_dropped():
+    read_fd, write_fd = new_outbox_pipe()
+    writer = OutboxWriter(write_fd, window=4)
+    os.close(read_fd)
+    writer.post(("batch", 0))
+    writer.post(("batch", 1))
+    assert writer.pending == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Source-level guards on ``src/repro/fleet``: one way to wait, one way
 to hand a shard a message.
 
-The fleet waits on file descriptors — outbox pipes, sockets, the
-queue's own read end — never on a clock, and every message bound for a
-shard inbox goes through ``FleetService._send``, the one place that
-knows how to wait for room without deadlocking against a worker stalled
-on its output.  A ``time.sleep`` poll or a bare ``inbox.put`` anywhere
-else is how both properties were lost before.
+The fleet waits on file descriptors — outbox pipes, inbox pipes,
+sockets — never on a clock, and every message bound for a shard inbox
+goes through ``FleetService._send``, the one place that knows how to
+wait for room without deadlocking against a worker stalled on its
+output.  A ``time.sleep`` poll or a bare inbox write anywhere else is
+how both properties were lost before.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ def test_nothing_in_the_fleet_sleeps():
 
 
 def test_inbox_puts_live_in_one_function():
-    """No queue but the shard inboxes exists in the package, so every
-    ``.put(`` / ``.put_nowait(`` is an inbox put.  (Also what shows the
-    guards are reading the real package: an empty scan fails here.)"""
+    """Only a shard inbox's writer has a ``.post(`` (the windowed,
+    non-blocking write), so every ``.post(`` call is an inbox write.
+    (Also what shows the guards are reading the real package: an empty
+    scan fails here.)"""
     putters = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -43,7 +44,7 @@ def test_inbox_puts_live_in_one_function():
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("put", "put_nowait")
+                    and node.func.attr == "post"
                 ):
                     putters.add((str(path.relative_to(FLEET)), function.name))
     assert putters == {("service.py", "_send")}
